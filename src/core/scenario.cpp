@@ -1,10 +1,12 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "client/app_client.hpp"
@@ -88,14 +90,15 @@ RunResult run_scenario(const ScenarioConfig& config) {
   if (config.num_tasks == 0 && config.tasks_override == nullptr && config.trace_path.empty()) {
     throw std::invalid_argument("run_scenario: no tasks");
   }
-  if (config.utilization <= 0.0 || config.utilization >= 1.5) {
-    throw std::invalid_argument("run_scenario: utilization out of range (0, 1.5)");
+  // Written so that NaN fails every range check.
+  if (!(config.utilization > 0.0 && config.utilization < 1.5)) {
+    throw std::invalid_argument("run_scenario: --utilization must be in (0, 1.5)");
   }
-  if (config.warmup_fraction < 0.0 || config.warmup_fraction >= 1.0) {
-    throw std::invalid_argument("run_scenario: warmup fraction out of [0,1)");
+  if (!(config.warmup_fraction >= 0.0 && config.warmup_fraction < 1.0)) {
+    throw std::invalid_argument("run_scenario: --warmup must be in [0, 1)");
   }
-  if (config.write_fraction < 0.0 || config.write_fraction > 1.0) {
-    throw std::invalid_argument("run_scenario: write fraction outside [0, 1]");
+  if (!(config.write_fraction >= 0.0 && config.write_fraction <= 1.0)) {
+    throw std::invalid_argument("run_scenario: --write-fraction must be in [0, 1]");
   }
   if (config.paced_arrivals && !config.arrival_spec.empty()) {
     throw std::invalid_argument(
@@ -139,12 +142,19 @@ RunResult run_scenario(const ScenarioConfig& config) {
     } else if (spec == "sparse" || spec.rfind("sparse:", 0) == 0) {
       sparse_store = true;
       if (spec.size() > 7) {
-        const unsigned long cap = std::stoul(spec.substr(7));
-        if (cap == 0) throw std::invalid_argument("run_scenario: sparse store cap must be > 0");
-        sparse_cap = static_cast<std::uint32_t>(cap);
+        const std::string_view digits = std::string_view(spec).substr(7);
+        const char* const end = digits.data() + digits.size();
+        std::uint32_t cap = 0;
+        const auto parsed = std::from_chars(digits.data(), end, cap);
+        if (parsed.ec != std::errc() || parsed.ptr != end || cap == 0) {
+          throw std::invalid_argument(
+              "run_scenario: --signal-store=sparse:CAP needs a whole CAP >= 1, got '" +
+              std::string(digits) + "'");
+        }
+        sparse_cap = cap;
       }
     } else {
-      throw std::invalid_argument("run_scenario: signal store must be auto|dense|sparse[:CAP]");
+      throw std::invalid_argument("run_scenario: --signal-store must be auto|dense|sparse[:CAP]");
     }
     // Sparse credits bookkeeping (first-touch balances, grants only to
     // live-demand pairs, floor shared among active clients) carries

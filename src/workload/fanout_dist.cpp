@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace brb::workload {
@@ -11,50 +12,110 @@ FixedFanout::FixedFanout(std::uint32_t n) : n_(n) {
 }
 
 GeometricFanout::GeometricFanout(double mean) : mean_(mean) {
-  if (mean_ < 1.0) throw std::invalid_argument("GeometricFanout: mean < 1");
+  if (!std::isfinite(mean_) || mean_ < 1.0) {
+    throw std::invalid_argument("GeometricFanout: mean must be finite and >= 1");
+  }
   // X = 1 + G where G ~ Geometric(p) counts failures before success:
   // E[X] = 1 + (1-p)/p  =>  p = 1 / mean.
   p_ = 1.0 / mean_;
 }
 
+namespace {
+
+// E[clamp(round(exp(N(mu, sigma))), 1, cap)] by a midpoint rule over
+// the standard normal, z in [-8, 8]. Calibration results are pinned
+// bit for bit (mu drives every fan-out draw, mean() sets the task
+// rate), so the sum below must keep the exact terms and order of the
+// plain per-panel loop; workload_test checks it against that loop.
+class Quadrature {
+ public:
+  static constexpr int kPanels = 1 << 14;
+
+  // The mu-independent half: abscissae, weights and their sum, built
+  // once per calibration rather than once per bisection step.
+  Quadrature() : z_(kPanels), w_(kPanels) {
+    for (int i = 0; i < kPanels; ++i) {
+      z_[i] = -8.0 + 16.0 * (static_cast<double>(i) + 0.5) / kPanels;
+      w_[i] = std::exp(-0.5 * z_[i] * z_[i]);
+      weight_ += w_[i];
+    }
+  }
+
+  double mean(double mu, double sigma, std::uint32_t cap) const {
+    // Below `low` exp rounds to at most 1, above `high` to more than
+    // cap, so the clamp fixes the value and exp is skipped. The margin
+    // dwarfs exp's and log's last-bit errors. Those panels still add
+    // w * 1 or w * cap in panel order, so the sum rounds as before.
+    constexpr double kMargin = 1e-9;
+    const double top = static_cast<double>(cap);
+    const double low = std::log(1.5) - kMargin;
+    const double high = std::log(top + 0.5) + kMargin;
+    double acc = 0.0;
+    for (int i = 0; i < kPanels; ++i) {
+      const double x = mu + sigma * z_[i];
+      double v;
+      if (x < low) {
+        v = 1.0;
+      } else if (x > high) {
+        v = top;
+      } else {
+        v = std::clamp(std::round(std::exp(x)), 1.0, top);
+      }
+      acc += w_[i] * v;
+    }
+    return acc / weight_;
+  }
+
+ private:
+  std::vector<double> z_;
+  std::vector<double> w_;
+  double weight_ = 0.0;
+};
+
+void check_lognormal_shape(double sigma, std::uint32_t cap) {
+  if (!std::isfinite(sigma) || sigma <= 0.0) {
+    throw std::invalid_argument("LogNormalFanout: sigma must be finite and > 0");
+  }
+  if (cap == 0) throw std::invalid_argument("LogNormalFanout: cap == 0");
+}
+
+}  // namespace
+
 LogNormalFanout::LogNormalFanout(double mu, double sigma, std::uint32_t cap)
     : mu_(mu), sigma_(sigma), cap_(cap) {
-  if (sigma_ <= 0.0) throw std::invalid_argument("LogNormalFanout: sigma <= 0");
-  if (cap_ == 0) throw std::invalid_argument("LogNormalFanout: cap == 0");
-  mean_ = discretized_mean(mu_, sigma_, cap_);
+  if (!std::isfinite(mu_)) throw std::invalid_argument("LogNormalFanout: mu must be finite");
+  check_lognormal_shape(sigma_, cap_);
+  mean_ = Quadrature().mean(mu_, sigma_, cap_);
 }
 
-double LogNormalFanout::discretized_mean(double mu, double sigma, std::uint32_t cap) {
-  // E[round/clamp(exp(N))] by quadrature over the standard normal.
-  constexpr int kPanels = 1 << 14;
-  double acc = 0.0;
-  double weight = 0.0;
-  for (int i = 0; i < kPanels; ++i) {
-    // Gauss-like midpoint rule over z in [-8, 8].
-    const double z = -8.0 + 16.0 * (static_cast<double>(i) + 0.5) / kPanels;
-    const double w = std::exp(-0.5 * z * z);
-    double v = std::round(std::exp(mu + sigma * z));
-    v = std::clamp(v, 1.0, static_cast<double>(cap));
-    acc += w * v;
-    weight += w;
-  }
-  return acc / weight;
-}
+LogNormalFanout::LogNormalFanout(double mu, double sigma, std::uint32_t cap, double mean)
+    : mu_(mu), sigma_(sigma), cap_(cap), mean_(mean) {}
 
 LogNormalFanout LogNormalFanout::for_mean(double target_mean, double sigma, std::uint32_t cap) {
-  if (target_mean < 1.0) throw std::invalid_argument("LogNormalFanout: target mean < 1");
+  if (!std::isfinite(target_mean) || target_mean < 1.0) {
+    throw std::invalid_argument("LogNormalFanout: target mean must be finite and >= 1");
+  }
+  check_lognormal_shape(sigma, cap);
+  if (target_mean > static_cast<double>(cap)) {
+    throw std::invalid_argument("LogNormalFanout: target mean above cap");
+  }
   // Bisection on mu; the discretized mean is monotone in mu.
+  const Quadrature quadrature;
   double lo = -5.0;
   double hi = 15.0;
   for (int iter = 0; iter < 80; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (discretized_mean(mid, sigma, cap) < target_mean) {
+    // Once lo and hi are adjacent doubles the midpoint lands on one of
+    // them, and no later step moves 0.5 * (lo + hi) off it.
+    if (mid == lo || mid == hi) break;
+    if (quadrature.mean(mid, sigma, cap) < target_mean) {
       lo = mid;
     } else {
       hi = mid;
     }
   }
-  return LogNormalFanout(0.5 * (lo + hi), sigma, cap);
+  const double mu = 0.5 * (lo + hi);
+  return LogNormalFanout(mu, sigma, cap, quadrature.mean(mu, sigma, cap));
 }
 
 EmpiricalFanout::EmpiricalFanout(std::vector<double> weights) {
@@ -88,19 +149,49 @@ std::unique_ptr<FanoutDistribution> make_fanout_distribution(const std::string& 
   std::stringstream ss(spec);
   for (std::string item; std::getline(ss, item, ':');) parts.push_back(item);
   if (parts.empty()) throw std::invalid_argument("make_fanout_distribution: empty spec");
+  const auto bad = [&spec](const std::string& why) {
+    return std::invalid_argument("make_fanout_distribution: " + why + " in '" + spec + "'");
+  };
+  // Every field must be a whole finite number: stod alone accepts
+  // "nan", "inf" and trailing junk.
   const auto arg = [&](std::size_t i, double fallback) {
-    return parts.size() > i ? std::stod(parts[i]) : fallback;
+    if (parts.size() <= i) return fallback;
+    std::size_t used = 0;
+    double value = std::numeric_limits<double>::quiet_NaN();
+    try {
+      value = std::stod(parts[i], &used);
+    } catch (const std::exception&) {
+      // Left NaN: rejected below.
+    }
+    if (used != parts[i].size() || !std::isfinite(value)) {
+      throw bad("field '" + parts[i] + "' is not a finite number");
+    }
+    return value;
+  };
+  const auto count = [&](std::size_t i, double fallback) {
+    const double value = arg(i, fallback);
+    if (value < 1.0 || value > std::numeric_limits<std::uint32_t>::max() ||
+        value != std::floor(value)) {
+      throw bad("field '" + parts[i] + "' is not a whole number >= 1");
+    }
+    return static_cast<std::uint32_t>(value);
+  };
+  const auto max_fields = [&](std::size_t n) {
+    if (parts.size() > n) throw bad("too many fields");
   };
   const std::string& kind = parts[0];
   if (kind == "fixed") {
-    return std::make_unique<FixedFanout>(static_cast<std::uint32_t>(arg(1, 8)));
+    max_fields(2);
+    return std::make_unique<FixedFanout>(count(1, 8));
   }
   if (kind == "geometric") {
+    max_fields(2);
     return std::make_unique<GeometricFanout>(arg(1, 8.6));
   }
   if (kind == "lognormal") {
-    return std::make_unique<LogNormalFanout>(LogNormalFanout::for_mean(
-        arg(1, 8.6), arg(2, 0.8), static_cast<std::uint32_t>(arg(3, 1024))));
+    max_fields(4);
+    return std::make_unique<LogNormalFanout>(
+        LogNormalFanout::for_mean(arg(1, 8.6), arg(2, 0.8), count(3, 1024)));
   }
   throw std::invalid_argument("make_fanout_distribution: unknown kind: " + kind);
 }

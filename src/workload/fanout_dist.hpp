@@ -93,7 +93,9 @@ class LogNormalFanout final : public FanoutDistribution {
  public:
   LogNormalFanout(double mu, double sigma, std::uint32_t cap);
 
-  /// Factory calibrated so that mean() == target_mean.
+  /// Factory calibrated so that mean() == target_mean. Throws
+  /// std::invalid_argument unless target_mean is finite and in
+  /// [1, cap] and sigma is finite and > 0.
   static LogNormalFanout for_mean(double target_mean, double sigma = 0.8,
                                   std::uint32_t cap = 1024);
 
@@ -116,7 +118,8 @@ class LogNormalFanout final : public FanoutDistribution {
   double sigma() const noexcept { return sigma_; }
 
  private:
-  static double discretized_mean(double mu, double sigma, std::uint32_t cap);
+  /// Takes the mean for_mean has already computed.
+  LogNormalFanout(double mu, double sigma, std::uint32_t cap, double mean);
 
   double mu_;
   double sigma_;

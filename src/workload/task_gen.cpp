@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -48,14 +49,21 @@ std::vector<TenantMix> parse_tenant_mixes(const std::string& spec) {
       }
       const std::string key = field.substr(0, eq);
       const std::string value = field.substr(eq + 1);
-      // stod failures get field context here; the nested distribution
-      // factories already throw self-describing invalid_arguments.
+      // stod failures and non-finite values get field context here;
+      // the nested distribution factories already throw
+      // self-describing invalid_arguments.
       const auto number = [&] {
+        double parsed = 0.0;
         try {
-          return std::stod(value);
+          parsed = std::stod(value);
         } catch (const std::exception&) {
-          throw std::invalid_argument("parse_tenant_mixes: bad value in '" + field + "'");
+          parsed = std::numeric_limits<double>::quiet_NaN();
         }
+        if (!std::isfinite(parsed)) {
+          throw std::invalid_argument("parse_tenant_mixes: --tenants field '" + field +
+                                      "' is not a finite number");
+        }
+        return parsed;
       };
       if (key == "share") {
         mix.share = number();
@@ -139,7 +147,7 @@ void TaskGenerator::set_tenants(std::vector<TenantMix> tenants) {
   }
   double total_share = 0.0;
   for (const TenantMix& mix : tenants) {
-    if (mix.share <= 0.0) throw std::invalid_argument("TaskGenerator: non-positive tenant share");
+    if (!(mix.share > 0.0)) throw std::invalid_argument("TaskGenerator: tenant share not > 0");
     if (mix.keys && mix.keys->num_keys() > dataset_->num_keys()) {
       throw std::invalid_argument("TaskGenerator: tenant '" + mix.name +
                                   "' key distribution exceeds dataset keyspace");
@@ -173,8 +181,8 @@ std::vector<std::uint32_t> tenant_client_blocks(const std::vector<TenantMix>& te
   }
   double total_share = 0.0;
   for (const TenantMix& mix : tenants) {
-    if (mix.share <= 0.0) {
-      throw std::invalid_argument("tenant_client_blocks: non-positive tenant share");
+    if (!(mix.share > 0.0)) {
+      throw std::invalid_argument("tenant_client_blocks: tenant share not > 0");
     }
     total_share += mix.share;
   }

@@ -2,7 +2,9 @@
 // topologies, overload, trace replay, observer hooks, paced arrivals.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -233,6 +235,57 @@ TEST(ScenarioTrace, MissingTraceFileRejected) {
   ScenarioConfig config;
   config.trace_path = "/nonexistent/brb-trace.csv";
   EXPECT_THROW(run_scenario(config), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed set-up inputs: each is rejected before the run, with the
+// flag named in the message.
+
+void expect_rejected_naming(const ScenarioConfig& config, const std::string& flag) {
+  try {
+    run_scenario(config);
+    ADD_FAILURE() << "accepted a malformed " << flag;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+  }
+}
+
+const double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(ScenarioInputs, NanUtilizationRejected) {
+  ScenarioConfig config = small_config(SystemKind::kC3);
+  config.utilization = kNan;
+  expect_rejected_naming(config, "--utilization");
+}
+
+TEST(ScenarioInputs, NonNumericSparseCapRejected) {
+  ScenarioConfig config = small_config(SystemKind::kC3);
+  config.signal_store = "sparse:abc";
+  expect_rejected_naming(config, "--signal-store");
+  config.signal_store = "sparse:12x";
+  expect_rejected_naming(config, "--signal-store");
+  config.signal_store = "sparse:99999999999";
+  expect_rejected_naming(config, "--signal-store");
+}
+
+TEST(ScenarioInputs, NanTenantShareRejected) {
+  ScenarioConfig config = small_config(SystemKind::kEqualMaxCredits);
+  config.tenant_spec = "a,share=nan";
+  expect_rejected_naming(config, "--tenants");
+  config.tenant_spec = "a,share=1;b,share=1,write=nan";
+  expect_rejected_naming(config, "--tenants");
+}
+
+TEST(ScenarioInputs, NanWarmupFractionRejected) {
+  ScenarioConfig config = small_config(SystemKind::kC3);
+  config.warmup_fraction = kNan;
+  expect_rejected_naming(config, "--warmup");
+}
+
+TEST(ScenarioInputs, NanWriteFractionRejected) {
+  ScenarioConfig config = small_config(SystemKind::kC3);
+  config.write_fraction = kNan;
+  expect_rejected_naming(config, "--write-fraction");
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 // planning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "stats/summary.hpp"
 #include "util/rng.hpp"
@@ -151,6 +154,125 @@ TEST(LogNormalFanout, RespectsCap) {
   const auto f = LogNormalFanout::for_mean(8.6, 2.0, 64);
   util::Rng rng(12);
   for (int i = 0; i < 100000; ++i) ASSERT_LE(f.sample(rng), 64u);
+}
+
+// The calibration as it stood before its fast path, kept verbatim as
+// the reference: every fast-path change must return the same bits.
+double reference_discretized_mean(double mu, double sigma, std::uint32_t cap) {
+  constexpr int kPanels = 1 << 14;
+  double acc = 0.0;
+  double weight = 0.0;
+  for (int i = 0; i < kPanels; ++i) {
+    const double z = -8.0 + 16.0 * (static_cast<double>(i) + 0.5) / kPanels;
+    const double w = std::exp(-0.5 * z * z);
+    double v = std::round(std::exp(mu + sigma * z));
+    v = std::clamp(v, 1.0, static_cast<double>(cap));
+    acc += w * v;
+    weight += w;
+  }
+  return acc / weight;
+}
+
+double reference_for_mean_mu(double target_mean, double sigma, std::uint32_t cap) {
+  double lo = -5.0;
+  double hi = 15.0;
+  for (int iter = 0; iter < 80; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (reference_discretized_mean(mid, sigma, cap) < target_mean) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
+
+// mu drives every fan-out draw and mean() sets the task rate, so a
+// one-ulp drift in either changes every artifact. One instance per
+// sigma, over targets 1-300 and caps 1-100,000.
+class LogNormalCalibrationBits : public ::testing::TestWithParam<double> {};
+
+TEST_P(LogNormalCalibrationBits, ForMeanMatchesReferenceBitForBit) {
+  const double sigma = GetParam();
+  int points = 0;
+  for (const std::uint32_t cap : {1u, 4u, 64u, 512u, 100'000u}) {
+    for (const double target : {1.0, 1.3, 2.0, 3.7, 8.6, 15.0, 24.0, 60.0, 150.0, 300.0}) {
+      if (target > cap) continue;
+      SCOPED_TRACE(testing::Message() << "target " << target << " sigma " << sigma << " cap "
+                                      << cap);
+      const auto f = LogNormalFanout::for_mean(target, sigma, cap);
+      const double mu = reference_for_mean_mu(target, sigma, cap);
+      EXPECT_EQ(f.mu(), mu);
+      EXPECT_EQ(f.mean(), reference_discretized_mean(mu, sigma, cap));
+      ++points;
+    }
+  }
+  EXPECT_EQ(points, 33);
+}
+
+TEST_P(LogNormalCalibrationBits, ConstructorMeanMatchesReferenceBitForBit) {
+  const double sigma = GetParam();
+  for (const std::uint32_t cap : {1u, 64u, 512u, 100'000u}) {
+    for (const double mu : {-5.0, -1.0, 0.0, 0.2, 2.0, 6.0, 11.5, 15.0}) {
+      EXPECT_EQ(LogNormalFanout(mu, sigma, cap).mean(),
+                reference_discretized_mean(mu, sigma, cap))
+          << "mu " << mu << " sigma " << sigma << " cap " << cap;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sigmas, LogNormalCalibrationBits,
+                         ::testing::Values(0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0));
+
+TEST(LogNormalFanout, RegistrySpecsKeepTheirMuBits) {
+  // Taken from the calibration before its fast path.
+  const std::pair<const char*, double> pins[] = {
+      {"lognormal:8.6:2.0:512", 0x1.a085798eb9a38p-3},
+      {"lognormal:8.6:1.0:512", 0x1.a68d15192feb6p+0},
+      {"lognormal:2.5:1.0:64", 0x1.70acdd773a476p-2},
+      {"lognormal:24:1.5:512", 0x1.0c8204075823ep+1},
+  };
+  for (const auto& [spec, mu] : pins) {
+    const auto dist = make_fanout_distribution(spec);
+    const auto* lognormal = dynamic_cast<const LogNormalFanout*>(dist.get());
+    ASSERT_NE(lognormal, nullptr) << spec;
+    EXPECT_EQ(lognormal->mu(), mu) << spec;
+  }
+}
+
+TEST(LogNormalFanout, RejectsNanTargetSpec) {
+  EXPECT_THROW(make_fanout_distribution("lognormal:nan"), std::invalid_argument);
+}
+
+TEST(LogNormalFanout, RejectsNanSigmaSpec) {
+  EXPECT_THROW(make_fanout_distribution("lognormal:8.6:nan:512"), std::invalid_argument);
+}
+
+TEST(LogNormalFanout, RejectsTargetAboveCap) {
+  EXPECT_THROW(LogNormalFanout::for_mean(600, 2.0, 512), std::invalid_argument);
+}
+
+TEST(LogNormalFanout, RejectsBadShape) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(LogNormalFanout::for_mean(0.5, 2.0, 512), std::invalid_argument);
+  EXPECT_THROW(LogNormalFanout::for_mean(inf, 2.0, 512), std::invalid_argument);
+  EXPECT_THROW(LogNormalFanout::for_mean(8.6, 0.0, 512), std::invalid_argument);
+  EXPECT_THROW(LogNormalFanout::for_mean(8.6, inf, 512), std::invalid_argument);
+  EXPECT_THROW(LogNormalFanout::for_mean(1.0, 2.0, 0), std::invalid_argument);
+  EXPECT_THROW(LogNormalFanout(std::nan(""), 2.0, 512), std::invalid_argument);
+}
+
+TEST(GeometricFanout, RejectsNanMean) {
+  EXPECT_THROW(make_fanout_distribution("geometric:nan"), std::invalid_argument);
+  EXPECT_THROW(GeometricFanout(std::numeric_limits<double>::infinity()), std::invalid_argument);
+}
+
+TEST(FanoutFactory, RejectsMalformedFields) {
+  for (const char* spec : {"fixed:0", "fixed:2.5", "fixed:4x", "fixed:4:5", "geometric:0.5",
+                           "lognormal:8.6:2.0:512:1", "lognormal:8.6:2.0:-1",
+                           "lognormal:8.6:2.0:1e99", "lognormal:1e999"}) {
+    EXPECT_THROW(make_fanout_distribution(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(EmpiricalFanout, MatchesWeights) {
