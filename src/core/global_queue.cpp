@@ -1,16 +1,17 @@
 #include "core/global_queue.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace brb::core {
 
-GlobalQueueModel::GlobalQueueModel(
-    const store::Partitioner& partitioner,
-    const std::function<std::unique_ptr<server::QueueDiscipline>()>& discipline_factory)
-    : partitioner_(&partitioner), discipline_factory_(discipline_factory) {
+GlobalQueueModel::GlobalQueueModel(const store::Partitioner& partitioner, std::string discipline)
+    : partitioner_(&partitioner), discipline_(std::move(discipline)) {
   const std::uint32_t num_groups = partitioner_->num_groups();
   group_queues_.reserve(num_groups);
-  for (std::uint32_t g = 0; g < num_groups; ++g) group_queues_.push_back(discipline_factory());
+  for (std::uint32_t g = 0; g < num_groups; ++g) {
+    group_queues_.push_back(server::make_discipline(discipline_));
+  }
 
   groups_of_.resize(partitioner_->num_servers());
   for (std::uint32_t g = 0; g < num_groups; ++g) {
@@ -54,7 +55,7 @@ void GlobalQueueModel::submit_pinned(server::QueuedRead read, store::ServerId se
     throw std::out_of_range("GlobalQueueModel::submit_pinned: bad server");
   }
   if (pinned_queues_.empty()) pinned_queues_.resize(groups_of_.size());
-  if (!pinned_queues_[server]) pinned_queues_[server] = discipline_factory_();
+  if (!pinned_queues_[server]) pinned_queues_[server] = server::make_discipline(discipline_);
   read.submit_seq = next_submit_seq_++;
   pinned_queues_[server]->push(std::move(read));
   ++total_queued_;

@@ -16,8 +16,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "server/backend_server.hpp"
@@ -29,12 +29,10 @@ namespace brb::core {
 
 class GlobalQueueModel final : public server::WorkSource {
  public:
-  /// `discipline_factory` builds one queue per replica group —
-  /// PriorityDiscipline for BRB-model, FifoDiscipline for the
+  /// `discipline` names the queue built per replica group (see
+  /// server::make_discipline): "priority" for BRB-model, "fifo" for the
   /// task-oblivious ideal ablation.
-  GlobalQueueModel(const store::Partitioner& partitioner,
-                   const std::function<std::unique_ptr<server::QueueDiscipline>()>&
-                       discipline_factory);
+  GlobalQueueModel(const store::Partitioner& partitioner, std::string discipline);
 
   /// Registers the serving fleet; must cover every ServerId the
   /// partitioner references.
@@ -60,7 +58,7 @@ class GlobalQueueModel final : public server::WorkSource {
 
  private:
   const store::Partitioner* partitioner_;
-  const std::function<std::unique_ptr<server::QueueDiscipline>()> discipline_factory_;
+  const std::string discipline_;
   std::vector<std::unique_ptr<server::QueueDiscipline>> group_queues_;
   /// pinned_queues_[s] = server-bound requests (writes); created
   /// lazily so read-only runs pay nothing.

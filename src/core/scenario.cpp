@@ -334,9 +334,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
   // --- work sources ---
   std::unique_ptr<GlobalQueueModel> global_queue;
   if (uses_global_queue(config.system)) {
-    global_queue = std::make_unique<GlobalQueueModel>(partitioner, [&] {
-      return server::make_discipline(profile.server_discipline);
-    });
+    global_queue = std::make_unique<GlobalQueueModel>(partitioner, profile.server_discipline);
     std::vector<server::BackendServer*> raw;
     raw.reserve(servers.size());
     for (const auto& s : servers) raw.push_back(s.get());
@@ -735,12 +733,14 @@ RunResult run_scenario(const ScenarioConfig& config) {
   result.policy_switches = runtime.switches_applied();
 
   result.server_utilization.reserve(num_servers);
+  result.server_stats.reserve(num_servers);
   double util_acc = 0.0;
   const double span_sec = result.sim_duration.as_seconds();
   for (const auto& s : servers) {
     const double busy = s->stats().busy_time.as_seconds() /
                         (span_sec * static_cast<double>(s->config().cores));
     result.server_utilization.push_back(busy);
+    result.server_stats.push_back(s->stats());
     util_acc += busy;
   }
   result.mean_utilization = util_acc / static_cast<double>(num_servers);

@@ -17,6 +17,7 @@
 #include "core/credits.hpp"
 #include "core/system_kind.hpp"
 #include "policy/c3.hpp"
+#include "server/backend_server.hpp"
 #include "sim/time.hpp"
 #include "stats/latency_recorder.hpp"
 #include "stats/summary.hpp"
@@ -165,6 +166,7 @@ struct RunResult {
   std::uint64_t write_requests_acked = 0;  // must equal sent at teardown
 
   std::vector<double> server_utilization;  // busy fraction per server
+  std::vector<server::ServerStats> server_stats;  // per server, at teardown
   double mean_utilization = 0.0;
   std::uint64_t network_messages = 0;
   std::uint64_t network_bytes = 0;

@@ -1,10 +1,10 @@
 // The backend storage server.
 //
-// Each server owns `cores` independent service units that drain a work
-// source. In the normal (decentralized) configuration the work source
-// is the server's private queue discipline; in the paper's ideal
-// "model" configuration all servers share the global priority queue and
-// work-pull from it (see core/global_queue.hpp).
+// Each server owns `cores` independent service units. In the normal
+// (decentralized) configuration they drain the server's private queue
+// discipline; in the paper's ideal "model" configuration all servers
+// share the global priority queue and work-pull from it through a
+// `WorkSource` (see core/global_queue.hpp).
 //
 // Every response piggybacks load feedback (queue length and an EWMA of
 // the observed service rate) — the signal C3 consumes; BRB is free to
@@ -25,8 +25,9 @@
 
 namespace brb::server {
 
-/// Where an idle core looks for its next request. Implementations:
-/// `PrivateQueueSource` below and `core::GlobalQueueModel`.
+/// Where an idle core of a server without a private queue looks for its
+/// next request: `core::GlobalQueueModel`. An interface rather than a
+/// direct call because core depends on server, not the other way round.
 class WorkSource {
  public:
   virtual ~WorkSource() = default;
@@ -36,20 +37,6 @@ class WorkSource {
 
   /// Requests currently waiting that this server could serve.
   virtual std::size_t backlog(store::ServerId server) const = 0;
-};
-
-/// The standard per-server queue.
-class PrivateQueueSource final : public WorkSource {
- public:
-  explicit PrivateQueueSource(std::unique_ptr<QueueDiscipline> discipline);
-
-  void enqueue(QueuedRead read);
-  std::optional<QueuedRead> next_for(store::ServerId) override;
-  std::size_t backlog(store::ServerId) const override { return discipline_->size(); }
-  const QueueDiscipline& discipline() const noexcept { return *discipline_; }
-
- private:
-  std::unique_ptr<QueueDiscipline> discipline_;
 };
 
 /// Cumulative per-server counters for reports and tests.
@@ -76,9 +63,11 @@ class BackendServer : public sim::Actor {
   BackendServer(sim::Simulator& sim, Config config, const ServiceTimeModel& service_model,
                 util::Rng rng);
 
-  /// Attaches this server to its work source. For the private-queue
-  /// configuration pass the PrivateQueueSource; for the ideal model
-  /// pass the shared global queue. Must be called before traffic.
+  /// Installs the server's private queue (decentralized configuration).
+  /// Either this or set_work_source must be called before traffic.
+  void use_private_queue(std::unique_ptr<QueueDiscipline> discipline);
+  /// Attaches this server to the shared global queue it work-pulls
+  /// from (ideal model configuration).
   void set_work_source(WorkSource& source) { source_ = &source; }
   void set_response_handler(ResponseHandler handler) { on_response_ = std::move(handler); }
 
@@ -111,8 +100,9 @@ class BackendServer : public sim::Actor {
   /// Delivery of a read request from the network (private-queue mode).
   void receive(const store::ReadRequest& request);
 
-  /// Makes idle cores pull work; called by the work source when new
-  /// work arrives that this server could serve.
+  /// Makes idle cores pull work from the private queue or the work
+  /// source; the work source calls it when new work arrives that this
+  /// server could serve.
   void pump();
 
   std::uint32_t idle_cores() const noexcept { return config_.cores - busy_cores_; }
@@ -122,7 +112,7 @@ class BackendServer : public sim::Actor {
   /// O(1): private-queue mode serves a cached counter (no virtual
   /// dispatch on the service hot path).
   std::uint32_t queue_length() const {
-    if (private_source_ != nullptr) return private_queue_len_;
+    if (queue_ != nullptr) return queue_len_;
     return source_ == nullptr ? 0 : static_cast<std::uint32_t>(source_->backlog(config_.id));
   }
 
@@ -134,32 +124,21 @@ class BackendServer : public sim::Actor {
   const Config& config() const noexcept { return config_; }
 
  private:
-  void start_service(QueuedRead read);
-  /// Service-time draw with the virtual dispatch peeled off: a direct
-  /// call for SizeLinearServiceModel; when it is noise-free the draw
-  /// collapses to one inline multiply-add (no model math, no RNG, no
-  /// per-server state — which matters at mega-fleet server counts).
-  /// Falls back to the virtual sample() for other models.
-  /// Draw-for-draw identical to `service_model_->sample(size, rng_)`.
+  void start_service(const store::ReadRequest& request);
+  /// Service-time draw with the virtual dispatch peeled off: a
+  /// noise-free SizeLinearServiceModel collapses to one inline
+  /// multiply-add (no model math, no RNG, no per-server state — which
+  /// matters at mega-fleet server counts). Every other model takes the
+  /// virtual sample(). Draw-for-draw identical to
+  /// `service_model_->sample(size, rng_)`.
   sim::Duration draw_service_time(std::uint32_t size) {
-    if (linear_deterministic_ != nullptr) {
+    if (linear_fast_path_) {
       return sim::Duration::nanos(
           linear_base_nanos_ +
           static_cast<std::int64_t>(linear_per_byte_ * static_cast<double>(size)));
     }
-    if (linear_model_ != nullptr) return linear_model_->sample(size, rng_);
     return service_model_->sample(size, rng_);
   }
-  /// FIFO ring helpers (active iff the private discipline is "fifo").
-  void ring_push(QueuedRead&& read) {
-    if (ring_tail_ - ring_head_ == ring_.size()) ring_grow();
-    ring_[static_cast<std::size_t>(ring_tail_++) & ring_mask_] = std::move(read);
-  }
-  QueuedRead ring_pop() {
-    return std::move(ring_[static_cast<std::size_t>(ring_head_++) & ring_mask_]);
-  }
-  bool ring_empty() const noexcept { return ring_head_ == ring_tail_; }
-  void ring_grow();
   /// Completion takes only the response-relevant request fields — the
   /// scheduled closure stays small enough for the event queue's inline
   /// callback storage instead of copying the whole QueuedRead.
@@ -179,44 +158,28 @@ class BackendServer : public sim::Actor {
 
   Config config_;
   const ServiceTimeModel* service_model_;
-  /// Devirtualized alias (null unless the model is SizeLinearServiceModel).
-  const SizeLinearServiceModel* linear_model_ = nullptr;
-  /// Set iff `linear_model_` is noise-free: service times are then a
-  /// pure function of size, served from the memo table with no RNG.
-  const SizeLinearServiceModel* linear_deterministic_ = nullptr;
+  /// Set iff the model is a noise-free SizeLinearServiceModel: service
+  /// times are then a pure function of size, with no RNG.
+  bool linear_fast_path_ = false;
   std::int64_t linear_base_nanos_ = 0;
   double linear_per_byte_ = 0.0;
   util::Rng rng_;
+  /// The private queue; null in the ideal model, which pulls from
+  /// `source_` instead.
+  std::unique_ptr<QueueDiscipline> queue_;
+  /// queue_->size(), cached so feedback and the pump loop need no
+  /// virtual call.
+  std::uint32_t queue_len_ = 0;
   WorkSource* source_ = nullptr;
-  PrivateQueueSource* private_source_ = nullptr;  // set iff source is private
-  /// Fixed-capacity (growable, power-of-two) FIFO ring bypassing the
-  /// virtual QueueDiscipline push/pop when the private discipline is
-  /// plain FIFO. Pop order matches FifoDiscipline's deque exactly.
-  bool fifo_ring_ = false;
-  std::vector<QueuedRead> ring_;
-  std::size_t ring_mask_ = 0;
-  std::uint64_t ring_head_ = 0;  // pop side
-  std::uint64_t ring_tail_ = 0;  // push side
   ResponseHandler on_response_;
   ServiceFilterFn service_filter_;
   QueueWatchFn queue_watch_;
   std::uint32_t watch_threshold_ = 0;
   bool watch_over_ = false;
-  std::uint32_t private_queue_len_ = 0;
   store::StorageEngine storage_;
   std::uint32_t busy_cores_ = 0;
   double ewma_rate_ = 0.0;
   ServerStats stats_;
-
-  friend class PrivateQueueBinding;
-
- public:
-  /// Convenience: installs a private queue with the given discipline
-  /// and returns it (owned by the server).
-  PrivateQueueSource& use_private_queue(std::unique_ptr<QueueDiscipline> discipline);
-
- private:
-  std::unique_ptr<PrivateQueueSource> owned_source_;
 };
 
 }  // namespace brb::server

@@ -6,18 +6,23 @@
 
 namespace brb::server {
 
-void FifoDiscipline::push(QueuedRead read) { queue_.push_back(std::move(read)); }
-
-std::optional<QueuedRead> FifoDiscipline::pop() {
-  if (queue_.empty()) return std::nullopt;
-  QueuedRead out = std::move(queue_.front());
-  queue_.pop_front();
-  return out;
+void FifoDiscipline::grow() {
+  // Double the capacity, unrolling the occupied window to the front of
+  // the new buffer in FIFO order.
+  std::vector<QueuedRead> bigger(ring_.size() * 2);
+  const std::size_t count = size();
+  for (std::size_t i = 0; i < count; ++i) {
+    bigger[i] = std::move(ring_[(head_ + i) & mask_]);
+  }
+  ring_ = std::move(bigger);
+  mask_ = ring_.size() - 1;
+  head_ = 0;
+  tail_ = count;
 }
 
 std::optional<QueueHead> FifoDiscipline::peek() const {
-  if (queue_.empty()) return std::nullopt;
-  return QueueHead{0.0, queue_.front().submit_seq};
+  if (head_ == tail_) return std::nullopt;
+  return QueueHead{0.0, ring_[head_ & mask_].submit_seq};
 }
 
 void PriorityDiscipline::push(QueuedRead read) {

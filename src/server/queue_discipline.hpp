@@ -6,10 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -45,20 +45,33 @@ class QueueDiscipline {
   virtual std::optional<QueueHead> peek() const = 0;
   virtual std::size_t size() const noexcept = 0;
   bool empty() const noexcept { return size() == 0; }
-  virtual std::string name() const = 0;
 };
 
-/// First-in first-out.
+/// First-in first-out over a power-of-two ring: capacity starts at 64
+/// and doubles, so a server's steady state never allocates.
 class FifoDiscipline final : public QueueDiscipline {
  public:
-  void push(QueuedRead read) override;
-  std::optional<QueuedRead> pop() override;
+  FifoDiscipline() : ring_(kInitialCapacity), mask_(kInitialCapacity - 1) {}
+
+  void push(QueuedRead read) override {
+    if (size() > mask_) grow();
+    ring_[tail_++ & mask_] = std::move(read);
+  }
+  std::optional<QueuedRead> pop() override {
+    if (head_ == tail_) return std::nullopt;
+    return std::move(ring_[head_++ & mask_]);
+  }
   std::optional<QueueHead> peek() const override;
-  std::size_t size() const noexcept override { return queue_.size(); }
-  std::string name() const override { return "fifo"; }
+  std::size_t size() const noexcept override { return tail_ - head_; }
 
  private:
-  std::deque<QueuedRead> queue_;
+  static constexpr std::size_t kInitialCapacity = 64;
+  void grow();
+
+  std::vector<QueuedRead> ring_;
+  std::size_t mask_;      // ring_.size() - 1
+  std::size_t head_ = 0;  // pop side
+  std::size_t tail_ = 0;  // push side
 };
 
 /// Minimum priority value first; FIFO among equals.
@@ -73,7 +86,6 @@ class PriorityDiscipline final : public QueueDiscipline {
   std::optional<QueuedRead> pop() override;
   std::optional<QueueHead> peek() const override;
   std::size_t size() const noexcept override { return heap_.size(); }
-  std::string name() const override { return "priority"; }
 
  private:
   static constexpr std::size_t kArity = 4;
@@ -104,7 +116,6 @@ class SjfDiscipline final : public QueueDiscipline {
   std::optional<QueuedRead> pop() override;
   std::optional<QueueHead> peek() const override { return inner_.peek(); }
   std::size_t size() const noexcept override { return inner_.size(); }
-  std::string name() const override { return "sjf"; }
 
  private:
   PriorityDiscipline inner_;

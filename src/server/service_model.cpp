@@ -12,10 +12,12 @@ SizeLinearServiceModel::SizeLinearServiceModel(sim::Duration base, double per_by
       noise_sigma_(noise_sigma),
       noise_mu_(-0.5 * noise_sigma * noise_sigma) {
   if (base_.is_negative()) throw std::invalid_argument("SizeLinearServiceModel: negative base");
-  if (per_byte_nanos_ < 0.0) {
-    throw std::invalid_argument("SizeLinearServiceModel: negative per-byte cost");
+  if (!std::isfinite(per_byte_nanos_) || per_byte_nanos_ < 0.0) {
+    throw std::invalid_argument("SizeLinearServiceModel: per-byte cost must be finite and >= 0");
   }
-  if (noise_sigma_ < 0.0) throw std::invalid_argument("SizeLinearServiceModel: negative sigma");
+  if (!std::isfinite(noise_sigma_) || noise_sigma_ < 0.0) {
+    throw std::invalid_argument("SizeLinearServiceModel: sigma must be finite and >= 0");
+  }
   if (base_.count_nanos() == 0 && per_byte_nanos_ == 0.0) {
     throw std::invalid_argument("SizeLinearServiceModel: zero service time");
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -93,11 +94,22 @@ std::uint64_t Flags::get_uint(std::string_view name, std::uint64_t fallback) con
 double Flags::get_double(std::string_view name, double fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
+  // The whole token must be a finite number: "0.5abc", "nan" and "inf"
+  // are errors, not 0.5 or a value that poisons the run later.
+  std::size_t used = 0;
+  double parsed = 0.0;
   try {
-    return std::stod(*v);
+    parsed = std::stod(*v, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v->size()) {
     throw std::invalid_argument("flag --" + std::string(name) + ": not a number: " + *v);
   }
+  if (!std::isfinite(parsed)) {
+    throw std::invalid_argument("flag --" + std::string(name) + ": must be finite, got " + *v);
+  }
+  return parsed;
 }
 
 bool Flags::get_bool(std::string_view name, bool fallback) const {

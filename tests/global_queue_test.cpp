@@ -28,8 +28,7 @@ struct ModelFixture {
   std::vector<std::pair<store::ServerId, store::RequestId>> completions;
 
   ModelFixture() {
-    queue = std::make_unique<GlobalQueueModel>(
-        partitioner, [] { return server::make_discipline("priority"); });
+    queue = std::make_unique<GlobalQueueModel>(partitioner, "priority");
     std::vector<server::BackendServer*> raw;
     for (store::ServerId s = 0; s < 3; ++s) {
       server::BackendServer::Config config;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace brb::core {
@@ -167,6 +168,88 @@ TEST(Scenario, TaskAwareBeatsTaskObliviousAtTail) {
   const RunResult fifo = run_scenario(fifo_config);
   EXPECT_LT(brb.task_latency.percentile(99).count_nanos(),
             fifo.task_latency.percentile(99).count_nanos());
+}
+
+// Exact queueing pins: any change in a discipline's pop order moves
+// which replica serves what, and with it these counts. One row per
+// policy-matrix system, plus a write-heavy ideal-model run whose
+// writes wait in per-server pinned queues. Model systems queue in the
+// global model, so their per-server max queue stays 0.
+struct QueuePin {
+  SystemKind system;
+  double write_fraction;
+  std::uint64_t requests_completed;
+  std::vector<std::uint64_t> served;
+  std::vector<std::uint64_t> max_queue_seen;
+};
+
+const std::vector<QueuePin>& queue_pins() {
+  static const std::vector<QueuePin> pins = {
+      {SystemKind::kRandomFifo, 0.0, 26474,
+       {2785, 2727, 2628, 2912, 2776, 3056, 3307, 3284, 2999},
+       {217, 191, 181, 146, 216, 242, 254, 232, 193}},
+      {SystemKind::kFifoDirect, 0.0, 26474,
+       {2777, 2860, 2828, 2796, 2888, 3280, 3127, 3083, 2835},
+       {176, 218, 235, 241, 147, 242, 310, 160, 265}},
+      {SystemKind::kRequestSjfDirect, 0.0, 26474,
+       {2713, 2918, 2712, 2871, 2797, 3243, 3202, 3116, 2902},
+       {128, 131, 94, 152, 119, 107, 226, 136, 104}},
+      {SystemKind::kC3, 0.0, 26474,
+       {2805, 2741, 2978, 2995, 2895, 3113, 2839, 3041, 3067},
+       {40, 45, 42, 57, 34, 49, 41, 42, 72}},
+      {SystemKind::kEqualMaxDirect, 0.0, 26474,
+       {2811, 2882, 2614, 2766, 2795, 3250, 3200, 3243, 2913},
+       {174, 178, 209, 179, 193, 218, 273, 224, 204}},
+      {SystemKind::kUnifIncrDirect, 0.0, 26474,
+       {2827, 2901, 2603, 2769, 2822, 3245, 3220, 3213, 2874},
+       {232, 202, 212, 229, 225, 262, 325, 263, 251}},
+      {SystemKind::kEqualMaxCredits, 0.0, 26474,
+       {2811, 2882, 2614, 2766, 2795, 3250, 3200, 3243, 2913},
+       {174, 178, 209, 179, 193, 218, 273, 224, 204}},
+      {SystemKind::kUnifIncrCredits, 0.0, 26474,
+       {2827, 2901, 2603, 2769, 2822, 3245, 3220, 3213, 2874},
+       {232, 202, 212, 229, 225, 262, 325, 263, 251}},
+      {SystemKind::kCumSlackCredits, 0.0, 26474,
+       {2936, 2878, 2676, 2784, 2813, 3239, 3162, 3207, 2779},
+       {191, 199, 189, 211, 232, 218, 259, 247, 245}},
+      {SystemKind::kFifoModel, 0.0, 26474,
+       {2828, 3003, 2697, 3019, 3023, 3199, 3080, 2849, 2776},
+       {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {SystemKind::kEqualMaxModel, 0.0, 26474,
+       {2814, 2987, 2728, 2979, 2932, 3109, 3296, 2914, 2715},
+       {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {SystemKind::kUnifIncrModel, 0.0, 26474,
+       {2688, 3003, 2963, 2934, 2977, 3170, 3020, 2888, 2831},
+       {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {SystemKind::kCumSlackModel, 0.0, 26474,
+       {2574, 2975, 2915, 2927, 2840, 3205, 3230, 2994, 2814},
+       {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {SystemKind::kFifoModel, 0.2, 31830,
+       {3306, 3507, 3413, 3621, 3467, 3672, 3577, 3718, 3549},
+       {0, 0, 0, 0, 0, 0, 0, 0, 0}},
+  };
+  return pins;
+}
+
+TEST(Scenario, QueueCountsMatchPins) {
+  for (const QueuePin& pin : queue_pins()) {
+    ScenarioConfig config = quick_config(pin.system);
+    config.num_tasks = 3000;
+    config.utilization = 0.9;  // deep enough queues to grow the FIFO ring
+    config.write_fraction = pin.write_fraction;
+    const RunResult result = run_scenario(config);
+    const std::string label =
+        to_string(pin.system) + (pin.write_fraction > 0.0 ? " with writes" : "");
+    EXPECT_EQ(result.requests_completed, pin.requests_completed) << label;
+    std::vector<std::uint64_t> served;
+    std::vector<std::uint64_t> max_queue_seen;
+    for (const server::ServerStats& stats : result.server_stats) {
+      served.push_back(stats.served);
+      max_queue_seen.push_back(stats.max_queue_seen);
+    }
+    EXPECT_EQ(served, pin.served) << label;
+    EXPECT_EQ(max_queue_seen, pin.max_queue_seen) << label;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "server/backend_server.hpp"
@@ -75,6 +77,20 @@ TEST(SizeLinearServiceModel, RejectsDegenerateConstruction) {
   EXPECT_THROW(SizeLinearServiceModel(Duration::micros(1), -1.0), std::invalid_argument);
 }
 
+TEST(SizeLinearServiceModel, RejectsNonFiniteParameters) {
+  // NaN slips past a plain `< 0` check and would poison every draw.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(SizeLinearServiceModel(Duration::micros(1), 1.0, bad), std::invalid_argument);
+    EXPECT_THROW(SizeLinearServiceModel(Duration::micros(1), bad), std::invalid_argument);
+    EXPECT_THROW(SizeLinearServiceModel::calibrate(3500.0, 300.0, Duration::zero(), bad),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(SizeLinearServiceModel::calibrate(nan, 300.0, Duration::zero(), 0.0),
+               std::invalid_argument);
+}
+
 TEST(ExponentialServiceModel, MeanAndMemorylessness) {
   ExponentialServiceModel model(Duration::micros(100));
   util::Rng rng(3);
@@ -116,6 +132,49 @@ TEST(FifoDiscipline, PopsInsertionOrder) {
   EXPECT_EQ(q.pop()->request.request_id, 2u);
   EXPECT_EQ(q.pop()->request.request_id, 3u);
   EXPECT_FALSE(q.pop().has_value());
+}
+
+TEST(FifoDiscipline, WrapsAroundTheRing) {
+  // Far more traffic than the initial capacity, never more than a few
+  // waiting: the window wraps many times without growing.
+  FifoDiscipline q;
+  store::RequestId next_in = 0;
+  store::RequestId next_out = 0;
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 5; ++i) q.push(make_read(0.0, next_in++));
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(q.pop()->request.request_id, next_out++);
+  }
+  while (auto read = q.pop()) ASSERT_EQ(read->request.request_id, next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(FifoDiscipline, GrowsWhileWrapped) {
+  // Shift the window off the buffer start, then fill past the initial
+  // capacity: growth must unroll the wrapped window in FIFO order.
+  FifoDiscipline q;
+  for (store::RequestId id = 0; id < 40; ++id) q.push(make_read(0.0, id));
+  for (store::RequestId id = 0; id < 40; ++id) ASSERT_EQ(q.pop()->request.request_id, id);
+  for (store::RequestId id = 100; id < 400; ++id) q.push(make_read(0.0, id));
+  EXPECT_EQ(q.size(), 300u);
+  for (store::RequestId id = 100; id < 400; ++id) ASSERT_EQ(q.pop()->request.request_id, id);
+  EXPECT_FALSE(q.pop().has_value());
+}
+
+TEST(FifoDiscipline, PeekAfterWrap) {
+  FifoDiscipline q;
+  for (std::uint64_t seq = 0; seq < 60; ++seq) q.push(make_read(0.0, seq, seq));
+  for (int i = 0; i < 60; ++i) q.pop();
+  // The window now straddles the end of the 64-slot buffer.
+  for (std::uint64_t seq = 60; seq < 70; ++seq) q.push(make_read(0.0, seq, seq));
+  for (std::uint64_t seq = 60; seq < 70; ++seq) {
+    const auto head = q.peek();
+    ASSERT_TRUE(head.has_value());
+    EXPECT_EQ(head->priority, 0.0);
+    EXPECT_EQ(head->submit_seq, seq);
+    EXPECT_EQ(q.pop()->submit_seq, seq);
+  }
+  EXPECT_FALSE(q.peek().has_value());
 }
 
 TEST(FifoDiscipline, PeekReportsSubmitSeq) {
@@ -182,9 +241,25 @@ TEST(SjfDiscipline, OrdersByExpectedCost) {
 }
 
 TEST(DisciplineFactory, KnownNames) {
-  EXPECT_EQ(make_discipline("fifo")->name(), "fifo");
-  EXPECT_EQ(make_discipline("priority")->name(), "priority");
-  EXPECT_EQ(make_discipline("sjf")->name(), "sjf");
+  // Each name builds the discipline whose pop order it promises: ids
+  // pushed in order 1, 2, 3 with priorities 5, 1, 3 and expected costs
+  // 20, 30, 10 us.
+  const auto pop_order = [](const std::string& name) {
+    auto q = make_discipline(name);
+    const double priorities[] = {5.0, 1.0, 3.0};
+    const std::int64_t costs_us[] = {20, 30, 10};
+    for (std::size_t i = 0; i < 3; ++i) {
+      QueuedRead read = make_read(priorities[i], i + 1);
+      read.request.expected_cost = Duration::micros(costs_us[i]);
+      q->push(std::move(read));
+    }
+    std::vector<store::RequestId> order;
+    while (auto read = q->pop()) order.push_back(read->request.request_id);
+    return order;
+  };
+  EXPECT_EQ(pop_order("fifo"), (std::vector<store::RequestId>{1, 2, 3}));
+  EXPECT_EQ(pop_order("priority"), (std::vector<store::RequestId>{2, 3, 1}));
+  EXPECT_EQ(pop_order("sjf"), (std::vector<store::RequestId>{3, 1, 2}));
   EXPECT_THROW(make_discipline("lifo"), std::invalid_argument);
 }
 
@@ -286,6 +361,39 @@ TEST(BackendServer, MissingKeyServesMinimalValue) {
   f.simulator.run();
   ASSERT_EQ(f.responses.size(), 1u);
   EXPECT_EQ(f.responses[0].value_size, 1u);
+}
+
+TEST(BackendServer, QueueLengthTracksDisciplineAcrossFilterRejections) {
+  // Rejected requests leave the queue without taking a core; the
+  // cached queue length must follow the discipline's own size.
+  sim::Simulator simulator;
+  DeterministicServiceModel model(Duration::micros(100));
+  BackendServer::Config config;
+  config.cores = 1;
+  BackendServer server(simulator, config, model, util::Rng(10));
+  auto fifo = std::make_unique<FifoDiscipline>();
+  const FifoDiscipline& queue = *fifo;
+  server.use_private_queue(std::move(fifo));
+  server.set_service_filter(
+      [](const store::ReadRequest& request) { return request.request_id % 3 != 0; });
+  std::vector<store::RequestId> served;
+  server.set_response_handler([&](const store::ReadResponse& response) {
+    served.push_back(response.request_id);
+    EXPECT_EQ(server.queue_length(), queue.size());
+  });
+  simulator.schedule_at(Time::zero(), [&] {
+    for (store::RequestId id = 1; id <= 10; ++id) {
+      store::ReadRequest request;
+      request.request_id = id;
+      server.receive(request);
+      EXPECT_EQ(server.queue_length(), queue.size());
+    }
+    EXPECT_EQ(server.queue_length(), 9u);  // request 1 is in service
+  });
+  simulator.run();
+  EXPECT_EQ(served, (std::vector<store::RequestId>{1, 2, 4, 5, 7, 8, 10}));
+  EXPECT_EQ(server.queue_length(), 0u);
+  EXPECT_TRUE(queue.empty());
 }
 
 TEST(BackendServer, RejectsZeroCores) {

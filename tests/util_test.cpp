@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "util/ewma.hpp"
@@ -69,6 +70,25 @@ TEST(Flags, MalformedNumberThrows) {
   EXPECT_THROW(flags.get_int("tasks", 0), std::invalid_argument);
   const Flags flags2 = parse({"--ratio", "x.y"});
   EXPECT_THROW(flags2.get_double("ratio", 0.0), std::invalid_argument);
+  // A number must be the whole token, not a prefix of it.
+  const Flags flags3 = parse({"--utilization=0.5abc", "--rate", "1e3x", "--ok", "0.25"});
+  EXPECT_THROW(flags3.get_double("utilization", 0.7), std::invalid_argument);
+  EXPECT_THROW(flags3.get_double("rate", 1.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(flags3.get_double("ok", 0.0), 0.25);
+}
+
+TEST(Flags, GetDoubleRejectsNonFiniteAndNamesTheFlag) {
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+    const Flags flags = parse({"--c3-ewma", bad});
+    try {
+      flags.get_double("c3-ewma", 0.9);
+      ADD_FAILURE() << "accepted --c3-ewma=" << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--c3-ewma"), std::string::npos) << e.what();
+    }
+  }
+  const Flags empty = parse({"--c3-ewma="});
+  EXPECT_THROW(empty.get_double("c3-ewma", 0.9), std::invalid_argument);
 }
 
 TEST(Flags, GetUintParsesAndRejectsNegatives) {
