@@ -185,7 +185,7 @@ void AppClient::submit(workload::TaskSpec task) {
     out.request.expected_cost = planned.expected_cost;
     out.request.sent_at = now();  // refined at actual transmit time
     out.request.is_write = planned.is_write;
-    out.request.write_size = planned.is_write ? planned.size_hint : 0;
+    out.request.value_size = planned.size_hint;
     // The endpoint sees load at *offer* time so that requests held by a
     // gate (credits exhausted, rate limited) still count against the
     // server they are bound for — otherwise the client keeps piling
@@ -297,7 +297,7 @@ void AppClient::dispatch_plan(const policy::PlannedRequest& planned,
   lr.request.expected_cost = planned.expected_cost;
   lr.request.sent_at = now();
   lr.request.is_write = false;
-  lr.request.write_size = 0;
+  lr.request.value_size = planned.size_hint;
 
   switch (dispatch.mode) {
     case ctrl::DispatchMode::kHedge:

@@ -81,24 +81,26 @@ void BackendServer::start_service(const store::ReadRequest& request) {
     return;
   }
   ++busy_cores_;
-  // Actual work is driven by the replica's stored value size; absent
-  // keys (possible in unit tests) serve as 1-byte values. Writes do
-  // work proportional to the payload being installed instead.
-  const std::uint32_t size = request.is_write ? std::max(1u, request.write_size)
-                                             : storage_.size_of(request.key).value_or(1);
+  // Actual work is driven by the value size: the replica's own stored
+  // size when it has one (a write landed, or a trace populated it),
+  // otherwise the size the request carries (the dataset's). A request
+  // that carries none serves as a 1-byte value. Writes do work
+  // proportional to the payload being installed instead.
+  const std::uint32_t carried = std::max(1u, request.value_size);
+  const std::uint32_t size =
+      request.is_write ? carried : storage_.size_of(request.key).value_or(carried);
   const sim::Duration service_time = draw_service_time(size);
   const sim::Time done_at = now() + service_time;
-  const std::uint32_t write_size_plus1 = request.is_write ? size + 1 : 0;
   sim().schedule_at(done_at, [this, request_id = request.request_id, task_id = request.task_id,
-                              key = request.key, client = request.client, service_time,
-                              write_size_plus1] {
-    complete(request_id, task_id, key, client, service_time, write_size_plus1);
+                              key = request.key, client = request.client, service_time, carried,
+                              is_write = request.is_write] {
+    complete(request_id, task_id, key, client, service_time, carried, is_write);
   });
 }
 
 void BackendServer::complete(store::RequestId request_id, store::TaskId task_id,
                              store::KeyId key, store::ClientId client,
-                             sim::Duration service_time, std::uint32_t write_size_plus1) {
+                             sim::Duration service_time, std::uint32_t carried, bool is_write) {
   --busy_cores_;
   ++stats_.served;
   stats_.busy_time += service_time;
@@ -115,17 +117,17 @@ void BackendServer::complete(store::RequestId request_id, store::TaskId task_id,
   response.key = key;
   response.client = client;
   response.server = config_.id;
-  if (write_size_plus1 != 0) {
+  if (is_write) {
     // The replica resizes its stored value at completion and sends a
     // bare acknowledgement (no payload travels back).
-    storage_.put_meta(key, write_size_plus1 - 1);
+    storage_.put_meta(key, carried);
     response.is_write = true;
     response.value_size = 0;
   } else {
     // Looked up at completion time (not captured at service start) so a
     // write landing mid-service is reflected, as before the refactor;
     // the dense size table makes the second lookup an O(1) array read.
-    response.value_size = storage_.size_of(key).value_or(1);
+    response.value_size = storage_.size_of(key).value_or(carried);
   }
   response.feedback.queue_length = queue_length();
   response.feedback.service_rate = ewma_rate_;

@@ -93,7 +93,8 @@ class BackendServer : public sim::Actor {
   using ServiceFilterFn = std::function<bool(const store::ReadRequest&)>;
   void set_service_filter(ServiceFilterFn fn) { service_filter_ = std::move(fn); }
 
-  /// Local storage replica (populated by the cluster loader).
+  /// Local storage replica: the sizes that differ from the dataset's
+  /// (written values, trace-populated keys).
   store::StorageEngine& storage() noexcept { return storage_; }
   const store::StorageEngine& storage() const noexcept { return storage_; }
 
@@ -142,11 +143,12 @@ class BackendServer : public sim::Actor {
   /// Completion takes only the response-relevant request fields — the
   /// scheduled closure stays small enough for the event queue's inline
   /// callback storage instead of copying the whole QueuedRead.
-  /// `write_size_plus1` is 0 for reads; size+1 for writes (the replica
-  /// installs the new size and acknowledges).
+  /// `carried` is the request's value size (at least 1): a write
+  /// installs it and acknowledges; a read serves it unless the replica
+  /// stores a size of its own.
   void complete(store::RequestId request_id, store::TaskId task_id, store::KeyId key,
-                store::ClientId client, sim::Duration service_time,
-                std::uint32_t write_size_plus1);
+                store::ClientId client, sim::Duration service_time, std::uint32_t carried,
+                bool is_write);
   void check_watch() {
     if (!queue_watch_) return;
     const bool over = queue_length() > watch_threshold_;

@@ -1,5 +1,6 @@
 #include "store/storage_engine.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace brb::store {
@@ -34,13 +35,18 @@ void StorageEngine::put_meta(KeyId key, std::uint32_t size_bytes) {
     ++num_keys_;
   }
   stored_bytes_ += size_bytes;
-  if (dense_eligible(key, size_bytes) &&
-      (key < dense_size_plus1_.size() ||
-       key < kDenseGrowthAllowance + kDenseGrowthFactor * num_keys_)) {
+  if (dense_eligible(key, size_bytes) && (key < dense_size_plus1_.size() || dense_may_cover(key))) {
     if (key >= dense_size_plus1_.size()) dense_size_plus1_.resize(key + 1, 0);
     dense_size_plus1_[key] = size_bytes + 1;
   } else {
     values_[key] = ValueMeta{size_bytes, std::string()};
+  }
+}
+
+void StorageEngine::reserve_dense(KeyId key_limit) {
+  const KeyId limit = std::min(key_limit, kDenseLimit);
+  if (limit > dense_size_plus1_.size() && dense_may_cover(limit - 1)) {
+    dense_size_plus1_.resize(limit, 0);
   }
 }
 

@@ -30,8 +30,11 @@ struct ServerFeedback {
 /// A read (or write) for one key, stamped with scheduling metadata.
 /// Writes fan out to every replica of the key's group and carry the
 /// new value size; the serving replica resizes its stored value at
-/// completion. The struct keeps its historical name — the scheduling
-/// path (priorities, queues, credits) treats both kinds identically.
+/// completion. Reads carry the dataset's size of the key, so a replica
+/// stores a size only where it differs from the dataset's (a write
+/// landed, or a trace populated it). The struct keeps its historical
+/// name — the scheduling path (priorities, queues, credits) treats both
+/// kinds identically.
 struct ReadRequest {
   RequestId request_id = 0;
   TaskId task_id = 0;
@@ -43,8 +46,10 @@ struct ReadRequest {
   /// Time the client handed the request to the transport.
   sim::Time sent_at;
   bool is_write = false;
-  /// New stored size installed by a write (ignored for reads).
-  std::uint32_t write_size = 0;
+  /// Value size: the new stored size for a write; for a read, the
+  /// size the replica serves when it stores none of its own. 0 means
+  /// unknown (served as 1 byte); datasets never hold 0-byte values.
+  std::uint32_t value_size = 0;
 };
 
 /// Completion record delivered back to the client.
@@ -70,7 +75,7 @@ constexpr std::uint32_t kResponseHeaderBytes = 64;
 /// Wire bytes for one outbound request (reads: header only; writes:
 /// header + payload being written).
 inline std::uint32_t request_wire_bytes(const ReadRequest& request) noexcept {
-  return kRequestWireBytes + (request.is_write ? request.write_size : 0);
+  return kRequestWireBytes + (request.is_write ? request.value_size : 0);
 }
 
 }  // namespace brb::store

@@ -69,24 +69,26 @@ std::string Flags::get_string(std::string_view name, std::string_view fallback) 
 std::int64_t Flags::get_int(std::string_view name, std::int64_t fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
+  // The whole token must parse: "2000abc" is an error, not 2000.
+  std::size_t used = 0;
+  std::int64_t parsed = 0;
   try {
-    return std::stoll(*v);
+    parsed = std::stoll(*v, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v->size()) {
     throw std::invalid_argument("flag --" + std::string(name) + ": not an integer: " + *v);
   }
+  return parsed;
 }
 
 std::uint64_t Flags::get_uint(std::string_view name, std::uint64_t fallback) const {
-  const auto v = get(name);
-  if (!v) return fallback;
-  std::int64_t parsed = 0;
-  try {
-    parsed = std::stoll(*v);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + std::string(name) + ": not an integer: " + *v);
-  }
+  if (!get(name)) return fallback;
+  const std::int64_t parsed = get_int(name, 0);
   if (parsed < 0) {
-    throw std::invalid_argument("flag --" + std::string(name) + ": must be >= 0, got " + *v);
+    throw std::invalid_argument("flag --" + std::string(name) + ": must be >= 0, got " +
+                                std::to_string(parsed));
   }
   return static_cast<std::uint64_t>(parsed);
 }

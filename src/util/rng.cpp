@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -78,12 +79,14 @@ ZipfDistribution::ZipfDistribution(double exponent, std::uint64_t num_elements)
   if (num_elements == 0) {
     throw std::invalid_argument("ZipfDistribution: num_elements == 0");
   }
-  if (exponent < 0.0) {
-    throw std::invalid_argument("ZipfDistribution: exponent < 0");
+  if (!std::isfinite(exponent) || exponent < 0.0) {
+    throw std::invalid_argument("ZipfDistribution: exponent must be finite and >= 0");
   }
   h_x1_ = h(1.5) - 1.0;
   h_n_ = h(static_cast<double>(n_) + 0.5);
-  cut_ = 1.0 - h_inv(h(2.5) - std::pow(2.0, -s_));
+  // Squeeze bound of Hoermann & Derflinger: a candidate k with
+  // k - x <= cut_ is accepted without evaluating the exact test.
+  cut_ = 2.0 - h_inv(h(2.5) - std::pow(2.0, -s_));
 }
 
 }  // namespace brb::util

@@ -220,8 +220,9 @@ class ZipfDistribution {
   ZipfDistribution(double exponent, std::uint64_t num_elements);
 
   /// Draws a rank in [1, num_elements]. Defined inline: Zipf key draws
-  /// dominate workload generation, and the rejection loop usually
-  /// accepts on the first candidate.
+  /// dominate workload generation. The rejection loop usually accepts
+  /// on the first candidate, and most candidates pass the squeeze
+  /// (one `pow`) without the exact test (two more).
   std::uint64_t sample(Rng& rng) const {
     if (n_ == 1) return 1;
     for (;;) {

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+
+#include "workload/spec_fields.hpp"
 
 namespace brb::workload {
 
@@ -95,40 +96,28 @@ std::unique_ptr<ArrivalProcess> make_arrival_process(const std::string& spec,
   }
   if (spec == "paced") return std::make_unique<PacedArrivals>(rate_per_sec);
 
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  for (std::string part; std::getline(ss, part, ':');) parts.push_back(part);
-  const auto number = [&](std::size_t i) {
-    try {
-      return std::stod(parts.at(i));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("make_arrival_process: bad field in '" + spec + "'");
-    }
-  };
-  if (parts[0] == "diurnal") {
-    if (parts.size() != 4) {
+  const SpecFields fields("make_arrival_process", spec);
+  if (fields.kind() == "diurnal") {
+    if (fields.size() != 4) {
       throw std::invalid_argument("make_arrival_process: expected diurnal:LOW:HIGH:PERIOD_S");
     }
+    const double low = fields.number(1, 0.0);
+    const double high = fields.number(2, 0.0);
     return std::make_unique<ModulatedArrivals>(
-        rate_per_sec, ModulatedArrivals::Envelope::diurnal(number(1), number(2), number(3)));
+        rate_per_sec, ModulatedArrivals::Envelope::diurnal(low, high, fields.number(3, 0.0)));
   }
-  if (parts[0] == "steps") {
-    if (parts.size() != 3) {
+  if (fields.kind() == "steps") {
+    if (fields.size() != 3 || fields.field(1).empty()) {
       throw std::invalid_argument("make_arrival_process: expected steps:M1,M2,...:PERIOD_S");
     }
+    const SpecFields steps("make_arrival_process", fields.field(1), ',');
     std::vector<double> multipliers;
-    std::stringstream ms(parts[1]);
-    for (std::string m; std::getline(ms, m, ',');) {
-      if (m.empty()) continue;
-      try {
-        multipliers.push_back(std::stod(m));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("make_arrival_process: bad step '" + m + "'");
-      }
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      if (!steps.field(i).empty()) multipliers.push_back(steps.number(i, 0.0));
     }
     return std::make_unique<ModulatedArrivals>(
         rate_per_sec,
-        ModulatedArrivals::Envelope::piecewise(std::move(multipliers), number(2)));
+        ModulatedArrivals::Envelope::piecewise(std::move(multipliers), fields.number(2, 0.0)));
   }
   throw std::invalid_argument("make_arrival_process: unknown arrival spec '" + spec + "'");
 }

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
+
+#include "workload/spec_fields.hpp"
 
 namespace brb::workload {
 
@@ -145,55 +145,21 @@ std::uint32_t EmpiricalFanout::sample(util::Rng& rng) const {
 }
 
 std::unique_ptr<FanoutDistribution> make_fanout_distribution(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  for (std::string item; std::getline(ss, item, ':');) parts.push_back(item);
-  if (parts.empty()) throw std::invalid_argument("make_fanout_distribution: empty spec");
-  const auto bad = [&spec](const std::string& why) {
-    return std::invalid_argument("make_fanout_distribution: " + why + " in '" + spec + "'");
-  };
-  // Every field must be a whole finite number: stod alone accepts
-  // "nan", "inf" and trailing junk.
-  const auto arg = [&](std::size_t i, double fallback) {
-    if (parts.size() <= i) return fallback;
-    std::size_t used = 0;
-    double value = std::numeric_limits<double>::quiet_NaN();
-    try {
-      value = std::stod(parts[i], &used);
-    } catch (const std::exception&) {
-      // Left NaN: rejected below.
-    }
-    if (used != parts[i].size() || !std::isfinite(value)) {
-      throw bad("field '" + parts[i] + "' is not a finite number");
-    }
-    return value;
-  };
-  const auto count = [&](std::size_t i, double fallback) {
-    const double value = arg(i, fallback);
-    if (value < 1.0 || value > std::numeric_limits<std::uint32_t>::max() ||
-        value != std::floor(value)) {
-      throw bad("field '" + parts[i] + "' is not a whole number >= 1");
-    }
-    return static_cast<std::uint32_t>(value);
-  };
-  const auto max_fields = [&](std::size_t n) {
-    if (parts.size() > n) throw bad("too many fields");
-  };
-  const std::string& kind = parts[0];
-  if (kind == "fixed") {
-    max_fields(2);
-    return std::make_unique<FixedFanout>(count(1, 8));
+  const SpecFields fields("make_fanout_distribution", spec);
+  if (fields.kind() == "fixed") {
+    fields.max_fields(2);
+    return std::make_unique<FixedFanout>(fields.count(1, 8));
   }
-  if (kind == "geometric") {
-    max_fields(2);
-    return std::make_unique<GeometricFanout>(arg(1, 8.6));
+  if (fields.kind() == "geometric") {
+    fields.max_fields(2);
+    return std::make_unique<GeometricFanout>(fields.number(1, 8.6));
   }
-  if (kind == "lognormal") {
-    max_fields(4);
-    return std::make_unique<LogNormalFanout>(
-        LogNormalFanout::for_mean(arg(1, 8.6), arg(2, 0.8), count(3, 1024)));
+  if (fields.kind() == "lognormal") {
+    fields.max_fields(4);
+    return std::make_unique<LogNormalFanout>(LogNormalFanout::for_mean(
+        fields.number(1, 8.6), fields.number(2, 0.8), fields.count(3, 1024)));
   }
-  throw std::invalid_argument("make_fanout_distribution: unknown kind: " + kind);
+  throw std::invalid_argument("make_fanout_distribution: unknown kind: " + fields.kind());
 }
 
 }  // namespace brb::workload

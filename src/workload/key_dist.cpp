@@ -1,10 +1,9 @@
 #include "workload/key_dist.hpp"
 
-#include <sstream>
 #include <stdexcept>
-#include <vector>
 
 #include "store/partitioner.hpp"
+#include "workload/spec_fields.hpp"
 
 namespace brb::workload {
 
@@ -18,21 +17,17 @@ ZipfKeys::ZipfKeys(std::uint64_t num_keys, double exponent)
 }
 
 std::unique_ptr<KeyDistribution> make_key_distribution(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  for (std::string item; std::getline(ss, item, ':');) parts.push_back(item);
-  if (parts.empty()) throw std::invalid_argument("make_key_distribution: empty spec");
-  const auto arg = [&](std::size_t i, double fallback) {
-    return parts.size() > i ? std::stod(parts[i]) : fallback;
-  };
-  if (parts[0] == "uniform") {
-    return std::make_unique<UniformKeys>(static_cast<std::uint64_t>(arg(1, 100'000)));
+  const SpecFields fields("make_key_distribution", spec);
+  if (fields.kind() == "uniform") {
+    fields.max_fields(2);
+    return std::make_unique<UniformKeys>(fields.count(1, 100'000));
   }
-  if (parts[0] == "zipf") {
-    return std::make_unique<ZipfKeys>(static_cast<std::uint64_t>(arg(1, 100'000)),
-                                      arg(2, 0.9));
+  if (fields.kind() == "zipf") {
+    fields.max_fields(3);
+    const std::uint32_t num_keys = fields.count(1, 100'000);
+    return std::make_unique<ZipfKeys>(num_keys, fields.number(2, 0.9));
   }
-  throw std::invalid_argument("make_key_distribution: unknown kind: " + parts[0]);
+  throw std::invalid_argument("make_key_distribution: unknown kind: " + fields.kind());
 }
 
 }  // namespace brb::workload

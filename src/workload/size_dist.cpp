@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
+
+#include "workload/spec_fields.hpp"
 
 namespace brb::workload {
 
@@ -123,30 +124,27 @@ std::uint32_t LogNormalSizeDist::sample(util::Rng& rng) const {
 double LogNormalSizeDist::mean() const { return mean_; }
 
 std::unique_ptr<SizeDistribution> make_size_distribution(const std::string& spec) {
-  std::vector<std::string> parts;
-  std::stringstream ss(spec);
-  for (std::string item; std::getline(ss, item, ':');) parts.push_back(item);
-  if (parts.empty()) throw std::invalid_argument("make_size_distribution: empty spec");
-  const std::string& kind = parts[0];
-  const auto arg = [&](std::size_t i, double fallback) {
-    return parts.size() > i ? std::stod(parts[i]) : fallback;
-  };
+  const SpecFields fields("make_size_distribution", spec);
+  const std::string& kind = fields.kind();
   if (kind == "gpareto") {
-    return std::make_unique<GeneralizedParetoSizeDist>(arg(1, 0.0), arg(2, 214.476),
-                                                       arg(3, 0.348238),
-                                                       static_cast<std::uint32_t>(arg(4, 1 << 20)));
+    fields.max_fields(5);
+    return std::make_unique<GeneralizedParetoSizeDist>(
+        fields.number(1, 0.0), fields.number(2, 214.476), fields.number(3, 0.348238),
+        fields.count(4, 1 << 20));
   }
   if (kind == "fixed") {
-    return std::make_unique<FixedSizeDist>(static_cast<std::uint32_t>(arg(1, 1024)));
+    fields.max_fields(2);
+    return std::make_unique<FixedSizeDist>(fields.count(1, 1024));
   }
   if (kind == "bpareto") {
-    return std::make_unique<BoundedParetoSizeDist>(arg(1, 1.2),
-                                                   static_cast<std::uint32_t>(arg(2, 64)),
-                                                   static_cast<std::uint32_t>(arg(3, 1 << 20)));
+    fields.max_fields(4);
+    return std::make_unique<BoundedParetoSizeDist>(fields.number(1, 1.2), fields.count(2, 64),
+                                                   fields.count(3, 1 << 20));
   }
   if (kind == "lognormal") {
-    return std::make_unique<LogNormalSizeDist>(arg(1, 5.0), arg(2, 1.0),
-                                               static_cast<std::uint32_t>(arg(3, 1 << 20)));
+    fields.max_fields(4);
+    return std::make_unique<LogNormalSizeDist>(fields.number(1, 5.0), fields.number(2, 1.0),
+                                               fields.count(3, 1 << 20));
   }
   throw std::invalid_argument("make_size_distribution: unknown kind: " + kind);
 }

@@ -14,8 +14,13 @@ Dataset::Dataset(std::uint64_t num_keys, const SizeDistribution& sizes, util::Rn
   // is identical to the scalar loop it replaced.
   sizes_.resize(num_keys);
   sizes.sample_batch(rng, sizes_.data(), num_keys);
+  // Servers read a carried size of 0 as "unknown", so no stored value
+  // may be empty (every size distribution already clamps to >= 1).
   double acc = 0.0;
-  for (const std::uint32_t size : sizes_) acc += size;
+  for (const std::uint32_t size : sizes_) {
+    if (size == 0) throw std::invalid_argument("Dataset: size distribution drew a 0-byte value");
+    acc += size;
+  }
   mean_size_ = acc / static_cast<double>(num_keys);
 }
 

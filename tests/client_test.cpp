@@ -4,6 +4,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "client/app_client.hpp"
@@ -42,12 +44,17 @@ struct ClientFixture {
   std::vector<std::pair<store::TaskId, Duration>> completed_tasks;
   std::vector<Duration> completed_requests;
 
-  explicit ClientFixture(const std::string& policy_name, AppClient::Config config = {})
+  /// `dispatch` replaces the single-target endpoint (multi-copy modes).
+  explicit ClientFixture(const std::string& policy_name, AppClient::Config config = {},
+                         std::unique_ptr<ctrl::DispatchPolicy> dispatch = nullptr)
       : policy(policy::make_priority_policy(policy_name)) {
     client = std::make_unique<AppClient>(
         simulator, config, partitioner, cost_model,
-        single_endpoint(std::make_unique<ctrl::FirstReplicaPolicy>()), *policy,
-        std::make_unique<DirectGate>(), util::Rng(1));
+        dispatch ? std::make_unique<ctrl::DispatchEndpoint>(ctrl::SignalTableConfig{},
+                                                            std::move(dispatch), util::Rng(99),
+                                                            store::TenantId{0})
+                 : single_endpoint(std::make_unique<ctrl::FirstReplicaPolicy>()),
+        *policy, std::make_unique<DirectGate>(), util::Rng(1));
     client->set_network_send([this](const OutboundRequest& out) { sent.push_back(out); });
     AppClient::Hooks hooks;
     hooks.on_task_complete = [this](const workload::TaskSpec& task, Duration latency) {
@@ -93,6 +100,42 @@ TEST(AppClient, SplitsTaskIntoPerGroupSubtasks) {
     EXPECT_EQ(out.group, group);
     const auto& replicas = f.partitioner.replicas_of(group);
     EXPECT_NE(std::find(replicas.begin(), replicas.end(), out.server), replicas.end());
+  }
+}
+
+TEST(AppClient, ReadsCarryTheirValueSize) {
+  // A replica stores only sizes that differ from the dataset's; every
+  // other read is served at the size the request carries.
+  ClientFixture f("equalmax");
+  f.simulator.schedule_at(Time::zero(), [&] { f.client->submit(f.task(1, {0, 1, 2}, 777)); });
+  f.simulator.run();
+  ASSERT_EQ(f.sent.size(), 3u);
+  for (const auto& out : f.sent) {
+    EXPECT_FALSE(out.request.is_write);
+    EXPECT_EQ(out.request.value_size, 777u);
+  }
+}
+
+TEST(AppClient, EveryDuplicateCopyCarriesTheValueSize) {
+  // Hedge, tied and k-of-n copies are built from one template request;
+  // each copy may be the one a replica serves, so each must carry the
+  // size.
+  const auto first = [] {
+    return std::make_unique<ctrl::SingleTargetAdapter>(std::make_unique<ctrl::FirstReplicaPolicy>());
+  };
+  std::vector<std::pair<std::string, std::unique_ptr<ctrl::DispatchPolicy>>> modes;
+  modes.emplace_back("hedge", std::make_unique<ctrl::HedgeDispatchPolicy>(first(), 0.95,
+                                                                          Duration::micros(50)));
+  modes.emplace_back("tied", std::make_unique<ctrl::TiedDispatchPolicy>(first()));
+  modes.emplace_back("kofn", std::make_unique<ctrl::KofnDispatchPolicy>(first(), 1));
+  for (auto& [name, dispatch] : modes) {
+    ClientFixture f("equalmax", {}, std::move(dispatch));
+    // No responses arrive, so the hedge deadline fires its back-up.
+    f.simulator.schedule_at(Time::zero(), [&] { f.client->submit(f.task(1, {4}, 777)); });
+    f.simulator.run();
+    ASSERT_EQ(f.sent.size(), 2u) << name;
+    EXPECT_NE(f.sent[0].server, f.sent[1].server) << name;
+    for (const auto& out : f.sent) EXPECT_EQ(out.request.value_size, 777u) << name;
   }
 }
 

@@ -176,6 +176,16 @@ TEST(ModulatedArrivals, SpecParsingAndErrors) {
   EXPECT_THROW(workload::make_arrival_process("sawtooth:1:2", 100.0), std::invalid_argument);
 }
 
+TEST(ModulatedArrivals, RejectsNonFiniteAndTrailingJunk) {
+  // A NaN envelope made the gap loop spin forever; junk after a number
+  // was silently dropped.
+  for (const char* spec : {"diurnal:nan:1.5:10", "steps:1,nan:5", "diurnal:0.5:inf:10",
+                           "diurnal:0.5x:1.5:10", "diurnal:0.5:1.5:10junk", "steps:1,2x:5",
+                           "steps:1,2:inf"}) {
+    EXPECT_THROW(workload::make_arrival_process(spec, 100.0), std::invalid_argument) << spec;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Write path
 
@@ -197,7 +207,7 @@ TEST(WritePath, ServerInstallsNewSizeAndAcks) {
   write.request_id = 1;
   write.key = 42;
   write.is_write = true;
-  write.write_size = 9000;
+  write.value_size = 9000;
   server.receive(write);
   store::ReadRequest read;
   read.request_id = 2;
@@ -219,7 +229,7 @@ TEST(WritePath, WireBytesCarryWritePayloadOutbound) {
   EXPECT_EQ(store::request_wire_bytes(read), store::kRequestWireBytes);
   store::ReadRequest write;
   write.is_write = true;
-  write.write_size = 512;
+  write.value_size = 512;
   EXPECT_EQ(store::request_wire_bytes(write), store::kRequestWireBytes + 512);
 }
 

@@ -309,6 +309,46 @@ TEST(StorageEngine, AscendingDenseLoadThenOverwriteAndErase) {
   EXPECT_EQ(engine.num_keys(), 4999u);
 }
 
+TEST(StorageEngine, ExpectedKeysLetEarlyWritesGoDense) {
+  // Replicas start empty (reads carry their sizes), so the first write
+  // may land on a high key. A replica owning a third of a 100k keyspace
+  // takes it into the dense table at once; one that is not told its
+  // share keeps it in the hash map until enough keys arrive.
+  store::StorageEngine told;
+  told.expect_keys(33'333);
+  told.put_meta(99'999, 5);
+  EXPECT_EQ(told.dense_span(), 100'000u);
+  EXPECT_EQ(told.size_of(99'999), 5u);
+  EXPECT_FALSE(told.contains(99'998));
+
+  store::StorageEngine untold;
+  untold.put_meta(99'999, 5);
+  EXPECT_EQ(untold.dense_span(), 0u);
+  EXPECT_EQ(untold.size_of(99'999), 5u);
+}
+
+TEST(StorageEngine, ReserveDenseFollowsTheGrowthRule) {
+  // Paper shape: the whole keyspace is within the rule, so the table is
+  // allocated up front and stays empty until written.
+  store::StorageEngine paper;
+  paper.expect_keys(33'333);
+  paper.reserve_dense(100'000);
+  EXPECT_EQ(paper.dense_span(), 100'000u);
+  EXPECT_EQ(paper.num_keys(), 0u);
+  EXPECT_FALSE(paper.contains(0));
+  EXPECT_FALSE(paper.contains(99'999));
+
+  // Mega-fleet shape: a few dozen keys of a 100k keyspace must not
+  // allocate a keyspace-sized table per server.
+  store::StorageEngine sparse;
+  sparse.expect_keys(30);
+  sparse.reserve_dense(100'000);
+  EXPECT_EQ(sparse.dense_span(), 0u);
+  sparse.put_meta(77'777, 9);
+  EXPECT_EQ(sparse.dense_span(), 0u);
+  EXPECT_EQ(sparse.size_of(77'777), 9u);
+}
+
 TEST(StorageEngine, EraseReleasesBytes) {
   store::StorageEngine engine;
   engine.put_meta(1, 100);

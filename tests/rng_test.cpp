@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -344,6 +345,81 @@ TEST(Zipf, RejectsBadParameters) {
   EXPECT_THROW(ZipfDistribution(-0.1, 10), std::invalid_argument);
   EXPECT_THROW(ZipfDistribution(1.0, 0), std::invalid_argument);
 }
+
+TEST(Zipf, RejectsNonFiniteExponent) {
+  // A NaN exponent used to pass the `< 0` check and make every
+  // candidate fail the exact test: the draw loop never returned.
+  EXPECT_THROW(ZipfDistribution(std::nan(""), 10), std::invalid_argument);
+  EXPECT_THROW(ZipfDistribution(std::numeric_limits<double>::infinity(), 10),
+               std::invalid_argument);
+}
+
+// The sampler as it was before the squeeze constant was corrected: its
+// cut lay in (-1, -0.5], so `k - x <= cut_` never held and every
+// candidate went through the exact acceptance test. Kept verbatim as
+// the reference the squeeze must agree with draw for draw.
+class ExactTestZipf {
+ public:
+  ExactTestZipf(double exponent, std::uint64_t num_elements) : s_(exponent), n_(num_elements) {
+    h_x1_ = h(1.5) - 1.0;
+    h_n_ = h(static_cast<double>(n_) + 0.5);
+    cut_ = 1.0 - h_inv(h(2.5) - std::pow(2.0, -s_));
+  }
+
+  std::uint64_t sample(Rng& rng) const {
+    if (n_ == 1) return 1;
+    for (;;) {
+      const double u = h_n_ + rng.uniform() * (h_x1_ - h_n_);
+      const double x = h_inv(u);
+      auto k = static_cast<std::uint64_t>(x + 0.5);
+      k = k < 1 ? 1 : (k > n_ ? n_ : k);
+      if (static_cast<double>(k) - x <= cut_) return k;
+      if (u >= h(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_)) {
+        return k;
+      }
+    }
+  }
+
+ private:
+  double h(double x) const {
+    if (std::abs(s_ - 1.0) < 1e-12) return std::log(x);
+    return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+  }
+  double h_inv(double x) const {
+    if (std::abs(s_ - 1.0) < 1e-12) return std::exp(x);
+    return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
+  }
+
+  double s_;
+  std::uint64_t n_;
+  double h_x1_ = 0.0;
+  double h_n_ = 0.0;
+  double cut_ = 0.0;
+};
+
+class ZipfSqueeze : public ::testing::TestWithParam<double> {};
+
+TEST_P(ZipfSqueeze, KeySequenceMatchesExactTest) {
+  // The squeeze may only skip work: over 10^6 draws per keyspace size
+  // it must accept exactly the candidates the exact test accepts, so
+  // both samplers consume the same uniforms and emit the same keys.
+  const double s = GetParam();
+  for (const std::uint64_t n : {2ULL, 10ULL, 1000ULL, 100'000ULL, 10'000'000ULL}) {
+    const ZipfDistribution squeezed(s, n);
+    const ExactTestZipf exact(s, n);
+    Rng a(1000 + n);
+    Rng b(1000 + n);
+    for (int i = 0; i < 1'000'000; ++i) {
+      const std::uint64_t got = squeezed.sample(a);
+      const std::uint64_t want = exact.sample(b);
+      ASSERT_EQ(got, want) << "s=" << s << " n=" << n << " draw " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Exponents, ZipfSqueeze,
+                         ::testing::Values(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, 1.01, 1.1,
+                                           1.5, 2.0, 3.0));
 
 class ZipfExponentSweep : public ::testing::TestWithParam<double> {};
 

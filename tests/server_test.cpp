@@ -17,6 +17,7 @@
 #include "stats/summary.hpp"
 #include "util/rng.hpp"
 #include "workload/size_dist.hpp"
+#include "workload/task_gen.hpp"
 
 namespace brb::server {
 namespace {
@@ -361,6 +362,106 @@ TEST(BackendServer, MissingKeyServesMinimalValue) {
   f.simulator.run();
   ASSERT_EQ(f.responses.size(), 1u);
   EXPECT_EQ(f.responses[0].value_size, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Carried value sizes: a replica stores only what differs from the
+// dataset, so the size a read carries serves every key it never stored.
+
+/// Servers on one simulator under a 1 us/byte model, so each response's
+/// service time reads back the size it was served at.
+struct SizedFleet {
+  sim::Simulator simulator;
+  SizeLinearServiceModel model{Duration::zero(), 1000.0};
+  std::vector<std::unique_ptr<BackendServer>> servers;
+  std::vector<store::ReadResponse> responses;
+
+  explicit SizedFleet(std::uint32_t count) {
+    for (std::uint32_t s = 0; s < count; ++s) {
+      BackendServer::Config config;
+      config.id = s;
+      config.cores = 1;
+      auto server = std::make_unique<BackendServer>(simulator, config, model, util::Rng(s + 1));
+      server->use_private_queue(make_discipline("fifo"));
+      server->set_response_handler(
+          [this](const store::ReadResponse& response) { responses.push_back(response); });
+      servers.push_back(std::move(server));
+    }
+  }
+
+  void send(std::uint32_t server, store::RequestId id, bool is_write, std::uint32_t size) {
+    store::ReadRequest r;
+    r.request_id = id;
+    r.key = 5;
+    r.is_write = is_write;
+    r.value_size = size;
+    servers[server]->receive(r);
+    simulator.run();
+  }
+};
+
+TEST(BackendServer, NeverStoredKeyServesTheCarriedSize) {
+  SizedFleet fleet(1);
+  fleet.send(0, 1, false, 700);
+  ASSERT_EQ(fleet.responses.size(), 1u);
+  EXPECT_EQ(fleet.responses[0].value_size, 700u);
+  EXPECT_EQ(fleet.responses[0].feedback.service_time, Duration::micros(700));
+  // Serving a read stores nothing.
+  EXPECT_EQ(fleet.servers[0]->storage().num_keys(), 0u);
+}
+
+TEST(BackendServer, WrittenSizeOverridesTheCarriedSizeOnlyOnItsReplica) {
+  SizedFleet fleet(2);
+  fleet.send(0, 1, true, 9000);
+  ASSERT_EQ(fleet.responses.size(), 1u);
+  EXPECT_TRUE(fleet.responses[0].is_write);
+  EXPECT_EQ(fleet.responses[0].feedback.service_time, Duration::micros(9000));
+
+  // Same key, same carried (dataset) size, read from both replicas.
+  fleet.send(0, 2, false, 300);
+  fleet.send(1, 3, false, 300);
+  ASSERT_EQ(fleet.responses.size(), 3u);
+  EXPECT_EQ(fleet.responses[1].value_size, 9000u);
+  EXPECT_EQ(fleet.responses[1].feedback.service_time, Duration::micros(9000));
+  EXPECT_EQ(fleet.responses[2].value_size, 300u);
+  EXPECT_EQ(fleet.responses[2].feedback.service_time, Duration::micros(300));
+  EXPECT_EQ(fleet.servers[0]->storage().size_of(5), 9000u);
+  EXPECT_FALSE(fleet.servers[1]->storage().contains(5));
+}
+
+TEST(BackendServer, NoCarriedSizeAndNoEntryServesOneByte) {
+  SizedFleet fleet(1);
+  fleet.send(0, 1, false, 0);  // a hand-built request: size unknown
+  ASSERT_EQ(fleet.responses.size(), 1u);
+  EXPECT_EQ(fleet.responses[0].value_size, 1u);
+  EXPECT_EQ(fleet.responses[0].feedback.service_time, Duration::micros(1));
+}
+
+TEST(BackendServer, StoredSizeWinsOverTheCarriedSize) {
+  // Trace replay populates replicas with each key's last traced size;
+  // that entry, not the request's own size hint, is what gets served.
+  SizedFleet fleet(1);
+  fleet.servers[0]->storage().put_meta(5, 42);
+  fleet.send(0, 1, false, 700);
+  ASSERT_EQ(fleet.responses.size(), 1u);
+  EXPECT_EQ(fleet.responses[0].value_size, 42u);
+  EXPECT_EQ(fleet.responses[0].feedback.service_time, Duration::micros(42));
+}
+
+/// Draws only 0-byte values: what a broken size distribution would do.
+class EmptyValueSizes final : public workload::SizeDistribution {
+ public:
+  std::uint32_t sample(util::Rng& /*rng*/) const override { return 0; }
+  double mean() const override { return 0.0; }
+  std::uint32_t max_size() const noexcept override { return 1; }
+  std::string name() const override { return "empty"; }
+};
+
+TEST(Dataset, RejectsZeroByteValues) {
+  // A carried size of 0 means "unknown" to the servers, so a dataset
+  // must never hold a 0-byte value.
+  const EmptyValueSizes sizes;
+  EXPECT_THROW(workload::Dataset(10, sizes, util::Rng(1)), std::invalid_argument);
 }
 
 TEST(BackendServer, QueueLengthTracksDisciplineAcrossFilterRejections) {

@@ -91,6 +91,34 @@ TEST(Flags, GetDoubleRejectsNonFiniteAndNamesTheFlag) {
   EXPECT_THROW(empty.get_double("c3-ewma", 0.9), std::invalid_argument);
 }
 
+TEST(Flags, GetIntRejectsTrailingJunkAndNamesTheFlag) {
+  // `--tasks=2000abc` used to run 2000 tasks.
+  const Flags flags = parse({"--tasks=2000abc", "--skew", "5 ", "--ok", "-12"});
+  for (const char* name : {"tasks", "skew"}) {
+    try {
+      flags.get_int(name, 0);
+      ADD_FAILURE() << "accepted --" << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(flags.get_int("ok", 0), -12);
+}
+
+TEST(Flags, GetUintRejectsTrailingJunkAndNamesTheFlag) {
+  const Flags flags = parse({"--tasks=2000abc", "--seeds", "3.5"});
+  for (const char* name : {"tasks", "seeds"}) {
+    try {
+      flags.get_uint(name, 0);
+      ADD_FAILURE() << "accepted --" << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Flags, GetUintParsesAndRejectsNegatives) {
   const Flags flags = parse({"--tasks", "500", "--seeds", "-1"});
   EXPECT_EQ(flags.get_uint("tasks", 0), 500u);

@@ -329,7 +329,67 @@ TEST(ZipfKeys, SkewedButInRange) {
 TEST(KeyFactory, ParsesSpecs) {
   EXPECT_EQ(make_key_distribution("uniform:500")->num_keys(), 500u);
   EXPECT_EQ(make_key_distribution("zipf:500:0.9")->num_keys(), 500u);
+  EXPECT_EQ(make_key_distribution("zipf:1e5")->num_keys(), 100'000u);
   EXPECT_THROW(make_key_distribution("what"), std::invalid_argument);
+}
+
+// Each spec must fail with an error that quotes it: a throw that names
+// nothing leaves the user to guess which of several specs was bad.
+void expect_spec_rejected(const auto& factory, const std::string& spec) {
+  try {
+    factory(spec);
+    ADD_FAILURE() << "accepted '" << spec << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + spec + "'"), std::string::npos) << e.what();
+  }
+}
+
+TEST(KeyFactory, RejectsNanExponent) {
+  // Used to hang: every Zipf candidate failed the NaN acceptance test.
+  expect_spec_rejected(make_key_distribution, "zipf:1000:nan");
+}
+
+TEST(KeyFactory, RejectsNegativeKeyCount) {
+  // Used to wrap through an unsigned cast into a keyspace-sized
+  // allocation (vector::_M_default_append).
+  expect_spec_rejected(make_key_distribution, "zipf:-5:0.9");
+  expect_spec_rejected(make_key_distribution, "uniform:-1");
+}
+
+TEST(KeyFactory, RejectsTrailingJunk) {
+  expect_spec_rejected(make_key_distribution, "zipf:1000x:0.9junk");
+  expect_spec_rejected(make_key_distribution, "zipf:1000:0.9junk");
+  expect_spec_rejected(make_key_distribution, "uniform:500:7");
+}
+
+TEST(KeyFactory, RejectsInfiniteExponent) {
+  expect_spec_rejected(make_key_distribution, "zipf:1000:inf");
+}
+
+TEST(KeyFactory, RejectsFractionalOrHugeKeyCount) {
+  expect_spec_rejected(make_key_distribution, "zipf:1000.5:0.9");
+  expect_spec_rejected(make_key_distribution, "uniform:1e99");
+  expect_spec_rejected(make_key_distribution, "uniform:0");
+}
+
+TEST(SizeDistFactory, RejectsNonFiniteParameters) {
+  for (const char* spec : {"gpareto:nan", "gpareto:0:inf", "lognormal:5:nan", "bpareto:nan"}) {
+    expect_spec_rejected(make_size_distribution, spec);
+  }
+}
+
+TEST(SizeDistFactory, RejectsBadByteCounts) {
+  for (const char* spec : {"fixed:-1", "fixed:0", "fixed:12.5", "gpareto:0:214:0.3:1e99",
+                           "lognormal:5:1:-7", "bpareto:1.2:64:4096.5"}) {
+    expect_spec_rejected(make_size_distribution, spec);
+  }
+}
+
+TEST(SizeDistFactory, RejectsTrailingJunk) {
+  for (const char* spec : {"fixed:512b", "bpareto:1.2:64:4096junk", "fixed:512:1",
+                           "gpareto:0:214:0.3:1024:9"}) {
+    expect_spec_rejected(make_size_distribution, spec);
+  }
 }
 
 // ---------------------------------------------------------------------------
