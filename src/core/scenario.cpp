@@ -316,11 +316,11 @@ RunResult run_scenario(const ScenarioConfig& config) {
   }
   // Value sizes drive work. Generated reads carry the dataset's size
   // of their key, so replicas start empty and store only what writes
-  // install; each is told its share of the keyspace so those writes
-  // keep the dense size table, which a workload with writes allocates
-  // here rather than by growth during the run. A trace carries no
-  // dataset: every replica of a traced key stores the key's last size
-  // in the trace.
+  // install; a workload with writes allocates each replica's dense
+  // size table here, when the replica's share of the keyspace is
+  // dense enough, rather than by growth during the run. A trace
+  // carries no dataset: every replica of a traced key stores the
+  // key's last size in the trace.
   if (replay != nullptr) {
     for (const workload::TaskSpec& task : *replay) {
       for (const workload::RequestSpec& request : task.requests) {
@@ -330,14 +330,16 @@ RunResult run_scenario(const ScenarioConfig& config) {
       }
     }
   } else {
-    const std::uint64_t keys_per_replica = dataset.num_keys() * config.replication / num_servers;
     const bool writes =
         config.write_fraction > 0.0 ||
         std::any_of(tenant_mixes.begin(), tenant_mixes.end(),
                     [](const workload::TenantMix& mix) { return mix.write_fraction > 0.0; });
-    for (const auto& s : servers) {
-      s->storage().expect_keys(keys_per_replica);
-      if (writes) s->storage().reserve_dense(dataset.num_keys());
+    if (writes) {
+      const std::uint64_t keys_per_replica =
+          dataset.num_keys() * config.replication / num_servers;
+      for (const auto& s : servers) {
+        s->storage().reserve_dense(dataset.num_keys(), keys_per_replica);
+      }
     }
   }
 

@@ -35,7 +35,8 @@ void StorageEngine::put_meta(KeyId key, std::uint32_t size_bytes) {
     ++num_keys_;
   }
   stored_bytes_ += size_bytes;
-  if (dense_eligible(key, size_bytes) && (key < dense_size_plus1_.size() || dense_may_cover(key))) {
+  if (dense_eligible(key, size_bytes) &&
+      (key < dense_size_plus1_.size() || dense_may_cover(key, num_keys_))) {
     if (key >= dense_size_plus1_.size()) dense_size_plus1_.resize(key + 1, 0);
     dense_size_plus1_[key] = size_bytes + 1;
   } else {
@@ -43,11 +44,14 @@ void StorageEngine::put_meta(KeyId key, std::uint32_t size_bytes) {
   }
 }
 
-void StorageEngine::reserve_dense(KeyId key_limit) {
-  const KeyId limit = std::min(key_limit, kDenseLimit);
-  if (limit > dense_size_plus1_.size() && dense_may_cover(limit - 1)) {
-    dense_size_plus1_.resize(limit, 0);
+bool StorageEngine::reserve_dense(KeyId key_limit, std::uint64_t expected_keys) {
+  if (key_limit <= dense_size_plus1_.size()) return true;
+  if (key_limit > kDenseLimit ||
+      !dense_may_cover(key_limit - 1, std::max<std::uint64_t>(num_keys_, expected_keys))) {
+    return false;
   }
+  dense_size_plus1_.resize(key_limit, 0);
+  return true;
 }
 
 void StorageEngine::put(KeyId key, std::string payload) {

@@ -17,7 +17,6 @@
 // (e.g. raw 64-bit trace keys).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -41,29 +40,24 @@ class StorageEngine {
   static constexpr KeyId kDenseLimit = KeyId{1} << 22;
 
   /// The dense table only grows while it stays within this factor of
-  /// the number of keys the replica holds (plus a free initial
-  /// allowance), counting the keys it is expected to hold even before
-  /// they are stored. A server owning a dense slice of the keyspace
-  /// (paper scale: each replica owns ~1/3 of all keys) keeps the
-  /// flat-array hot path from its first write; a server owning a few
-  /// dozen keys of a huge keyspace (mega-fleet: 10k servers sharding
-  /// 100k keys) stays in the hash map instead of allocating a
-  /// keyspace-sized array per server. Lookups are unaffected — size_of
-  /// already falls through to the map.
+  /// the number of stored keys (plus a free initial allowance). A
+  /// server holding a dense slice of the keyspace (paper scale: each
+  /// replica holds ~1/3 of all keys) keeps the flat-array hot path; a
+  /// server holding a few dozen keys of a huge keyspace (mega-fleet:
+  /// 10k servers sharding 100k keys) stays in the hash map instead of
+  /// allocating a keyspace-sized array per server. Lookups are
+  /// unaffected — size_of already falls through to the map.
   static constexpr std::uint64_t kDenseGrowthFactor = 8;
   static constexpr std::uint64_t kDenseGrowthAllowance = 1024;
 
   /// `store_payloads` controls whether put() keeps the actual bytes.
   explicit StorageEngine(bool store_payloads = false) : store_payloads_(store_payloads) {}
 
-  /// Number of keys this replica owns (the wiring's keyspace share),
-  /// stored or not; only the dense-growth rule reads it.
-  void expect_keys(std::uint64_t keys) noexcept { expected_keys_ = keys; }
-
-  /// Allocates the dense table for keys [0, key_limit) now, as far as
-  /// the growth rule would let writes grow it anyway: a replica that
-  /// will take writes then pays no table growth during the run.
-  void reserve_dense(KeyId key_limit);
+  /// Allocates the empty dense table for keys [0, key_limit) now when
+  /// the growth rule allows it for a replica holding `expected_keys`
+  /// keys, so a replica that will take writes pays no table growth
+  /// during the run. Returns whether the table covers the range.
+  bool reserve_dense(KeyId key_limit, std::uint64_t expected_keys);
 
   /// Inserts or replaces a value described only by its size.
   void put_meta(KeyId key, std::uint32_t size_bytes);
@@ -89,8 +83,6 @@ class StorageEngine {
   bool contains(KeyId key) const { return size_of(key).has_value(); }
 
   std::size_t num_keys() const noexcept { return num_keys_; }
-  /// Keys [0, dense_span()) the dense table covers (4 bytes each).
-  std::size_t dense_span() const noexcept { return dense_size_plus1_.size(); }
   std::uint64_t stored_bytes() const noexcept { return stored_bytes_; }
 
  private:
@@ -98,10 +90,10 @@ class StorageEngine {
   /// Removes any existing entry for `key` from both structures,
   /// returning its size for the bytes accounting.
   std::optional<std::uint32_t> remove_entry(KeyId key);
-  /// The growth rule: may the dense table grow to cover `key`?
-  bool dense_may_cover(KeyId key) const noexcept {
-    return key < kDenseGrowthAllowance +
-                     kDenseGrowthFactor * std::max<std::uint64_t>(num_keys_, expected_keys_);
+  /// The growth rule: may the dense table cover `key` for a replica
+  /// holding `keys` keys?
+  static bool dense_may_cover(KeyId key, std::uint64_t keys) noexcept {
+    return key < kDenseGrowthAllowance + kDenseGrowthFactor * keys;
   }
   bool dense_eligible(KeyId key, std::uint32_t size_bytes) const noexcept {
     // size+1 must fit (UINT32_MAX-sized values take the sparse path).
@@ -116,7 +108,6 @@ class StorageEngine {
   /// so hash order cannot reach service order or artifacts.
   std::unordered_map<KeyId, ValueMeta> values_;  // brblint:allow(BRB-D01): lookup-only, never iterated
   std::size_t num_keys_ = 0;
-  std::uint64_t expected_keys_ = 0;
   std::uint64_t stored_bytes_ = 0;
 };
 

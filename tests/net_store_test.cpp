@@ -309,44 +309,29 @@ TEST(StorageEngine, AscendingDenseLoadThenOverwriteAndErase) {
   EXPECT_EQ(engine.num_keys(), 4999u);
 }
 
-TEST(StorageEngine, ExpectedKeysLetEarlyWritesGoDense) {
-  // Replicas start empty (reads carry their sizes), so the first write
-  // may land on a high key. A replica owning a third of a 100k keyspace
-  // takes it into the dense table at once; one that is not told its
-  // share keeps it in the hash map until enough keys arrive.
-  store::StorageEngine told;
-  told.expect_keys(33'333);
-  told.put_meta(99'999, 5);
-  EXPECT_EQ(told.dense_span(), 100'000u);
-  EXPECT_EQ(told.size_of(99'999), 5u);
-  EXPECT_FALSE(told.contains(99'998));
-
-  store::StorageEngine untold;
-  untold.put_meta(99'999, 5);
-  EXPECT_EQ(untold.dense_span(), 0u);
-  EXPECT_EQ(untold.size_of(99'999), 5u);
-}
-
 TEST(StorageEngine, ReserveDenseFollowsTheGrowthRule) {
-  // Paper shape: the whole keyspace is within the rule, so the table is
-  // allocated up front and stays empty until written.
+  // Paper shape: a replica expected to hold a third of a 100k keyspace
+  // may allocate the table for all of it up front. The table stays
+  // empty until written, and a later write of a high key is stored.
   store::StorageEngine paper;
-  paper.expect_keys(33'333);
-  paper.reserve_dense(100'000);
-  EXPECT_EQ(paper.dense_span(), 100'000u);
+  EXPECT_TRUE(paper.reserve_dense(100'000, 33'333));
   EXPECT_EQ(paper.num_keys(), 0u);
   EXPECT_FALSE(paper.contains(0));
   EXPECT_FALSE(paper.contains(99'999));
+  paper.put_meta(99'999, 5);
+  EXPECT_EQ(paper.size_of(99'999), 5u);
+  EXPECT_FALSE(paper.contains(99'998));
 
   // Mega-fleet shape: a few dozen keys of a 100k keyspace must not
   // allocate a keyspace-sized table per server.
   store::StorageEngine sparse;
-  sparse.expect_keys(30);
-  sparse.reserve_dense(100'000);
-  EXPECT_EQ(sparse.dense_span(), 0u);
+  EXPECT_FALSE(sparse.reserve_dense(100'000, 30));
   sparse.put_meta(77'777, 9);
-  EXPECT_EQ(sparse.dense_span(), 0u);
   EXPECT_EQ(sparse.size_of(77'777), 9u);
+  EXPECT_EQ(sparse.num_keys(), 1u);
+
+  // Keys past the dense limit are never reserved.
+  EXPECT_FALSE(sparse.reserve_dense(store::StorageEngine::kDenseLimit + 1, 100'000'000));
 }
 
 TEST(StorageEngine, EraseReleasesBytes) {
