@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #ifdef __unix__
 #include <sys/resource.h>
@@ -73,7 +74,7 @@ const std::vector<std::string>& known_flags() {
       "net-latency-us", "net-jitter-us", "service-base-us", "service-noise", "cost-noise",
       "warmup", "keep-raw",
       // system under test / control plane
-      "system", "seed", "selector", "systems", "policy", "policy-switch", "admission",
+      "system", "seed", "systems", "policy", "policy-switch", "admission",
       "dispatch", "signal-store", "stats",
       // scenario expanders
       "loads", "fanouts", "writes", "skews", "replications", "intervals-ms", "noise-sigmas",
@@ -168,7 +169,6 @@ ScenarioConfig config_from_flags(const util::Flags& flags) {
   config.system = core::system_kind_from_name(
       flags.get_string("system", to_string(config.system)));
   config.seed = flags.get_uint("seed", config.seed);
-  config.selector_override = flags.get_string("selector", config.selector_override);
 
   // --- control plane ---
   config.policy_spec = flags.get_string("policy", config.policy_spec);
@@ -177,10 +177,6 @@ ScenarioConfig config_from_flags(const util::Flags& flags) {
   config.admission_override = flags.get_string("admission", config.admission_override);
   config.signal_store = flags.get_string("signal-store", config.signal_store);
   config.stats_spec = flags.get_string("stats", config.stats_spec);
-  if (!config.selector_override.empty() && !config.policy_spec.empty()) {
-    throw std::invalid_argument(
-        "--selector and --policy conflict (--policy is the superset: use --policy=NAME)");
-  }
 
   // --- credits controller ---
   config.credits.adapt_interval = sim::Duration::seconds(
@@ -666,7 +662,6 @@ void print_usage(std::ostream& os) {
         "  --dispatch=MODE               dispatch plan mode for every tenant\n"
         "  --dispatch=tenantA:tied,tenantB:kofn:2  per-tenant dispatch modes\n"
         "  --admission=direct|cubic-rate|credits   override the admission policy\n"
-        "  --selector=NAME               legacy alias for --policy=NAME\n"
         "  --signal-store=auto|dense|sparse[:CAP]  control-plane state layout\n"
         "                                (auto = sparse once clients x servers\n"
         "                                exceeds 2^24 pairs; sparse switches the\n"
@@ -701,8 +696,18 @@ void print_usage(std::ostream& os) {
     os << "    " << info.grammar << std::string(mode_width - info.grammar.size() + 2, ' ')
        << info.summary << "\n";
   }
+  os << "\nsystems (--system=NAME; --systems=a,b,c sets a scenario's list; each is a\n"
+        "preset over the registries above, and --policy/--admission override its axes):\n";
+  std::size_t system_width = 0;
+  for (const core::SystemPreset& preset : core::kSystemPresets) {
+    system_width = std::max(system_width, std::string_view(preset.name).size());
+  }
+  for (const core::SystemPreset& preset : core::kSystemPresets) {
+    const std::string_view name = preset.name;
+    os << "  " << name << std::string(system_width - name.size() + 2, ' ') << preset.summary
+       << "\n";
+  }
   os << "\npolicy knobs:\n"
-        "  --system --systems=a,b,c (scenario system set)\n"
         "  --loads=0.5,0.7 (load-sweep)  --fanouts=spec,... (fanout-sweep)\n"
         "  --writes=0.05,0.2 (write-heavy)  --skews=0,0.9,1.2 (replication-skew)\n"
         "  --replications=1,2,3 (replication-sweep)\n"

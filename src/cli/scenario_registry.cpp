@@ -47,22 +47,14 @@ const std::vector<SystemKind> kPaperSystems = {
     SystemKind::kUnifIncrModel,
 };
 
-/// Every SystemKind, baselines through ablations (bench_abl_policy_matrix).
-const std::vector<SystemKind> kMatrixSystems = {
-    SystemKind::kRandomFifo,       SystemKind::kFifoDirect,      SystemKind::kRequestSjfDirect,
-    SystemKind::kC3,               SystemKind::kEqualMaxDirect,  SystemKind::kUnifIncrDirect,
-    SystemKind::kEqualMaxCredits,  SystemKind::kUnifIncrCredits, SystemKind::kCumSlackCredits,
-    SystemKind::kFifoModel,        SystemKind::kEqualMaxModel,   SystemKind::kUnifIncrModel,
-    SystemKind::kCumSlackModel,
-};
-
 std::vector<ExperimentCase> expand_paper(const ScenarioConfig& base, const util::Flags& flags) {
   return per_system(base, systems_from_flags(flags, kPaperSystems));
 }
 
 std::vector<ExperimentCase> expand_policy_matrix(const ScenarioConfig& base,
                                                  const util::Flags& flags) {
-  std::vector<ExperimentCase> cases = per_system(base, systems_from_flags(flags, kMatrixSystems));
+  std::vector<ExperimentCase> cases =
+      per_system(base, systems_from_flags(flags, core::all_system_kinds()));
   // Selector ablation on the direct BRB system: how much of the tail is
   // replica-selection quality? Skipped when --systems narrows the
   // matrix to an explicit set.
@@ -150,7 +142,7 @@ std::vector<ExperimentCase> expand_mega_fleet(const ScenarioConfig& base,
   // (check_claims.py --scale-sanity), sharded over the plan layer.
   if (!base.policy_spec.empty() || !base.selector_override.empty()) {
     throw std::invalid_argument(
-        "scenario mega-fleet fixes the replica policy per case; --policy/--selector conflict");
+        "scenario mega-fleet fixes the replica policy per case; --policy conflicts");
   }
   ScenarioConfig config = base;
   if (!flags.has("servers") && !flags.has("cluster")) config.cluster.num_servers = 10'000;
@@ -299,8 +291,8 @@ std::vector<ExperimentCase> expand_policy_shootout(const ScenarioConfig& base,
   // fixed-dimension scenarios reject their conflicting flags.
   if (!base.policy_spec.empty() || !base.selector_override.empty()) {
     throw std::invalid_argument(
-        "scenario policy-shootout fixes the replica policy per case; --policy/--selector "
-        "conflict (use --policies=a,b,c to change the case list)");
+        "scenario policy-shootout fixes the replica policy per case; --policy conflicts "
+        "(use --policies=a,b,c to change the case list)");
   }
   std::vector<std::string> names = {"random",      "round-robin",        "least-outstanding",
                                     "two-choices", "least-pending-cost", "c3-noderate"};
@@ -331,13 +323,13 @@ std::vector<ExperimentCase> expand_policy_switch(const ScenarioConfig& base,
   if (!base.policy_spec.empty() || !base.selector_override.empty()) {
     throw std::invalid_argument(
         "scenario policy-switch fixes the replica-policy bindings per case; "
-        "--policy/--selector conflict (the schedule comes from --policy-switch)");
+        "--policy conflicts (the schedule comes from --policy-switch)");
   }
   const std::string schedule = base.policy_switch_spec.empty() ? "t0:random,1s:c3-noderate"
                                                                : base.policy_switch_spec;
   // Endpoint resolution mirrors the runtime exactly: t0 entries fold
-  // into the initial binding (on top of the kFifoDirect profile
-  // default), positive epochs apply in time order, later entries win.
+  // into the initial binding (on top of the kFifoDirect preset's
+  // selector), positive epochs apply in time order, later entries win.
   // Tenant-qualified entries rebind only a slice of the fleet, so no
   // single static endpoint exists for them.
   std::vector<ctrl::PolicySwitch> epochs = ctrl::parse_policy_switch_spec(schedule);
@@ -356,7 +348,7 @@ std::vector<ExperimentCase> expand_policy_switch(const ScenarioConfig& base,
                    });
   // Each switch kind folds independently: a mode epoch leaves the
   // policy endpoint alone and vice versa, exactly as in the runtime.
-  std::string start_policy = "least-outstanding";  // kFifoDirect profile default
+  std::string start_policy = core::system_preset(SystemKind::kFifoDirect).selector;
   std::string end_policy;
   ctrl::DispatchModeConfig start_mode;  // single
   ctrl::DispatchModeConfig end_mode;
@@ -425,7 +417,7 @@ std::vector<ExperimentCase> expand_hedging_shootout(const ScenarioConfig& base,
   if (!base.policy_spec.empty() || !base.selector_override.empty()) {
     throw std::invalid_argument(
         "scenario hedging-shootout fixes the replica policy (c3-noderate) so the dispatch "
-        "mode is the only varying mechanism; --policy/--selector conflict");
+        "mode is the only varying mechanism; --policy conflicts");
   }
   std::vector<std::string> modes = {"single", "hedge:q98", "tied", "kofn:2"};
   if (const auto custom = flags.get("dispatches")) modes = split_csv(*custom);

@@ -27,59 +27,6 @@
 
 namespace brb::core {
 
-namespace {
-
-/// Per-system defaults: replica policy, priority policy, queue
-/// discipline, admission policy. Every field is a control-plane
-/// registry name, overridable from the command line.
-struct SystemProfile {
-  std::string selector;
-  std::string priority_policy;
-  std::string server_discipline;
-  bool select_per_subtask = true;
-  std::string admission = "direct";
-};
-
-SystemProfile profile_for(SystemKind kind) {
-  switch (kind) {
-    case SystemKind::kC3:
-      return {"c3", "fifo", "fifo", /*select_per_subtask=*/false, "cubic-rate"};
-    case SystemKind::kEqualMaxCredits:
-      return {"least-pending-cost", "equalmax", "priority", true, "credits"};
-    case SystemKind::kEqualMaxDirect:
-      // BRB selects replicas load-aware per sub-task ("intelligent
-      // replica selection", §2). Least-pending-cost tracks the
-      // forecast work a client has bound to each server — the
-      // strongest decentralized signal available to it (measured in
-      // the policy-matrix scenario; beats C3-style ranking for
-      // sub-task granularity).
-      return {"least-pending-cost", "equalmax", "priority", true};
-    case SystemKind::kUnifIncrCredits:
-      return {"least-pending-cost", "unifincr", "priority", true, "credits"};
-    case SystemKind::kUnifIncrDirect:
-      return {"least-pending-cost", "unifincr", "priority", true};
-    case SystemKind::kEqualMaxModel:
-      return {"first", "equalmax", "priority", true};
-    case SystemKind::kUnifIncrModel:
-      return {"first", "unifincr", "priority", true};
-    case SystemKind::kFifoDirect:
-      return {"least-outstanding", "fifo", "fifo", false};
-    case SystemKind::kRandomFifo:
-      return {"random", "fifo", "fifo", false};
-    case SystemKind::kFifoModel:
-      return {"first", "fifo", "fifo", true};
-    case SystemKind::kRequestSjfDirect:
-      return {"least-pending-cost", "request-sjf", "priority", false};
-    case SystemKind::kCumSlackCredits:
-      return {"least-pending-cost", "cumslack", "priority", true, "credits"};
-    case SystemKind::kCumSlackModel:
-      return {"first", "cumslack", "priority", true};
-  }
-  throw std::invalid_argument("profile_for: unknown system kind");
-}
-
-}  // namespace
-
 RunResult run_scenario(const ScenarioConfig& config) {
   // Wall-clock instrumentation feeds only RunResult::wall_seconds,
   // which artifacts quarantine in the identity-excluded "timing"
@@ -118,7 +65,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
     throw std::invalid_argument("run_scenario: trace replay conflicts with a tenant mix");
   }
 
-  const SystemProfile profile = profile_for(config.system);
+  const SystemPreset& preset = system_preset(config.system);
   const std::uint32_t num_servers = config.cluster.num_servers;
   const std::uint32_t num_clients = config.num_clients;
 
@@ -345,15 +292,15 @@ RunResult run_scenario(const ScenarioConfig& config) {
 
   // --- work sources ---
   std::unique_ptr<GlobalQueueModel> global_queue;
-  if (uses_global_queue(config.system)) {
-    global_queue = std::make_unique<GlobalQueueModel>(partitioner, profile.server_discipline);
+  if (preset.global_queue) {
+    global_queue = std::make_unique<GlobalQueueModel>(partitioner, preset.discipline);
     std::vector<server::BackendServer*> raw;
     raw.reserve(servers.size());
     for (const auto& s : servers) raw.push_back(s.get());
     global_queue->attach_servers(std::move(raw));
   } else {
     for (const auto& s : servers) {
-      s->use_private_queue(server::make_discipline(profile.server_discipline));
+      s->use_private_queue(server::make_discipline(preset.discipline));
     }
   }
 
@@ -371,10 +318,10 @@ RunResult run_scenario(const ScenarioConfig& config) {
 
   // --- control plane: policy runtime + admission registry ---
   const std::string selector_name =
-      config.selector_override.empty() ? profile.selector : config.selector_override;
-  const auto priority_policy = policy::make_priority_policy(profile.priority_policy);
+      config.selector_override.empty() ? preset.selector : config.selector_override;
+  const auto priority_policy = policy::make_priority_policy(preset.priority);
   const std::string admission_name = ctrl::canonical_admission_name(
-      config.admission_override.empty() ? profile.admission : config.admission_override);
+      config.admission_override.empty() ? preset.admission : config.admission_override);
   // The credits controller/monitor machinery follows the *effective*
   // admission policy: `--admission=direct` on a credits system runs
   // its priorities ungated, `--admission=credits` on a direct system
@@ -416,7 +363,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
   // intercept, so the combination is rejected rather than silently
   // serving every copy.
   const bool tail_cutting = runtime.may_dispatch_duplicates();
-  if (tail_cutting && uses_global_queue(config.system)) {
+  if (tail_cutting && preset.global_queue) {
     throw std::invalid_argument(
         "run_scenario: dispatch modes that issue duplicates (hedge/tied/kofn) are incompatible "
         "with global-queue model systems");
@@ -459,7 +406,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
     client::AppClient::Config client_config;
     client_config.id = c;
     client_config.cost_noise_sigma = config.cost_noise_sigma;
-    client_config.select_per_subtask = profile.select_per_subtask;
+    client_config.select_per_subtask = preset.select_per_subtask;
 
     // Sequence the split explicitly: argument evaluation order is
     // unspecified and both expressions touch rng_clients[c]. One split
@@ -525,7 +472,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
   for (std::uint32_t c = 0; c < num_clients; ++c) {
     client::AppClient* client = clients[c].get();
     const net::NodeId client_node = num_servers + c;
-    if (uses_global_queue(config.system)) {
+    if (preset.global_queue) {
       // Writes are pinned to their replica: each copy must execute on
       // its own server, so it may not float freely within the group.
       client->set_network_send([&network, &sim, client_node, global_queue_node,

@@ -83,7 +83,7 @@ std::vector<PolicySwitch> parse_policy_switch_spec(const std::string& spec);
 class PolicyRuntime {
  public:
   struct Config {
-    /// The system profile's selector (or --selector override): the
+    /// The system preset's selector (or its selector_override): the
     /// binding every tenant starts from when --policy says nothing.
     std::string default_policy = "least-outstanding";
     /// --policy / --dispatch / --policy-switch specs ("" = none).

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 namespace brb::util {
 
@@ -27,6 +28,13 @@ bool parse_bool(std::string_view text, bool fallback) {
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv) {
+  // A repeated flag is an error: keeping either value would leave the
+  // other one unread and unvalidated.
+  const auto set = [this](std::string_view name, std::string value) {
+    if (!values_.emplace(std::string(name), std::move(value)).second) {
+      throw std::invalid_argument("--" + std::string(name) + " given more than once");
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (!arg.starts_with("--")) {
@@ -37,15 +45,15 @@ Flags::Flags(int argc, const char* const* argv) {
     if (arg.empty()) continue;  // bare "--" separator
     const auto eq = arg.find('=');
     if (eq != std::string_view::npos) {
-      values_.emplace(std::string(arg.substr(0, eq)), std::string(arg.substr(eq + 1)));
+      set(arg.substr(0, eq), std::string(arg.substr(eq + 1)));
       continue;
     }
     // `--name value` unless the next token is another flag; then boolean.
     if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
-      values_.emplace(std::string(arg), argv[i + 1]);
+      set(arg, argv[i + 1]);
       ++i;
     } else {
-      values_.emplace(std::string(arg), "true");
+      set(arg, "true");
     }
   }
 }

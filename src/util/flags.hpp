@@ -17,9 +17,9 @@ namespace brb::util {
 
 class Flags {
  public:
-  /// Parses argv. Throws std::invalid_argument on a malformed flag
-  /// (missing value for `--name` followed by another flag is treated as
-  /// a boolean `true`).
+  /// Parses argv. Throws std::invalid_argument on a flag given more
+  /// than once (missing value for `--name` followed by another flag is
+  /// treated as a boolean `true`).
   Flags(int argc, const char* const* argv);
 
   /// Builds an empty flag set (environment variables still consulted).

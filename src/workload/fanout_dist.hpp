@@ -2,10 +2,10 @@
 //
 // The paper's SoundCloud trace has ~500 k tasks with a mean fan-out of
 // 8.6 requests per task. The trace itself is proprietary, so we provide
-// several fan-out families whose mean is set to 8.6 (see DESIGN.md,
-// substitutions): a discretized log-normal (heavy right tail — the
-// playlist-like shape the paper motivates), geometric, fixed, and an
-// empirical table for replaying measured histograms.
+// several fan-out families whose mean is set to 8.6: a discretized
+// log-normal (heavy right tail — the playlist-like shape the paper
+// motivates), geometric, fixed, and an empirical table for replaying
+// measured histograms.
 #pragma once
 
 #include <algorithm>

@@ -4,6 +4,7 @@
 // the runtime path reproduces the legacy wiring byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "ctrl/replica_policy.hpp"
 #include "ctrl/signal_table.hpp"
 #include "ctrl/sparse_signal_table.hpp"
+#include "policy/priority_policy.hpp"
+#include "server/queue_discipline.hpp"
 #include "sim/simulator.hpp"
 #include "stats/artifact.hpp"
 #include "util/ewma.hpp"
@@ -346,9 +349,34 @@ TEST(AdmissionRegistry, CubicRateSeedsRateCapMirror) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// System presets
+
+TEST(SystemPresets, NamesRoundTripAndEveryAxisResolves) {
+  std::set<std::string> names;
+  for (const core::SystemPreset& preset : core::kSystemPresets) {
+    EXPECT_TRUE(names.insert(preset.name).second) << "duplicate name " << preset.name;
+    EXPECT_EQ(core::system_kind_from_name(preset.name), preset.kind) << preset.name;
+    EXPECT_EQ(core::to_string(preset.kind), preset.name);
+    // A catalog name is its own canonical name; an alias or typo is not.
+    EXPECT_EQ(ctrl::canonical_policy_name(preset.selector), preset.selector) << preset.name;
+    EXPECT_NE(policy::make_priority_policy(preset.priority), nullptr) << preset.name;
+    EXPECT_NE(server::make_discipline(preset.discipline), nullptr) << preset.name;
+    EXPECT_EQ(ctrl::canonical_admission_name(preset.admission), preset.admission) << preset.name;
+  }
+  try {
+    core::system_kind_from_name("equalmx-credits");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("(did you mean 'equalmax-credits'?)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(PolicySwitchScenario, EndpointsFollowRuntimeResolution) {
   // Time-unsorted schedule with no t0 entry: the start endpoint is the
-  // substrate's profile default and the end endpoint is the
+  // substrate's preset default and the end endpoint is the
   // time-sorted last epoch — exactly what the runtime executes.
   const util::Flags flags;
   core::ScenarioConfig base;
@@ -481,7 +509,7 @@ TEST(PolicyRuntime, TenantScopedSwitchTouchesOnlyThatTenant) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden-artifact equivalence: the legacy wiring (profile defaults,
+// Golden-artifact equivalence: the legacy wiring (preset defaults,
 // selector_override) and the explicit policy runtime path must produce
 // byte-identical artifacts modulo the config block naming the binding
 // and the wall-clock "timing" subtree.
@@ -532,7 +560,7 @@ std::vector<cli::CaseResult> run_case(const core::ScenarioConfig& config,
 }
 
 TEST(GoldenEquivalence, ExplicitPolicyMatchesProfileDefault) {
-  // kEqualMaxCredits's profile default is least-pending-cost wrapped
+  // kEqualMaxCredits's preset default is least-pending-cost wrapped
   // credit-aware; binding the same policy explicitly through the
   // runtime must not move a byte.
   const std::vector<std::uint64_t> seeds = {1, 2};
@@ -549,25 +577,17 @@ TEST(GoldenEquivalence, ExplicitPolicyMatchesProfileDefault) {
 }
 
 TEST(GoldenEquivalence, PaperSystemsMatchUnderExplicitBinding) {
-  // Each paper system against its profile selector bound explicitly.
+  // Each paper system against its preset's selector bound explicitly.
   const std::vector<std::uint64_t> seeds = {1};
-  const struct {
-    core::SystemKind system;
-    const char* selector;
-  } cases[] = {
-      {core::SystemKind::kC3, "c3"},
-      {core::SystemKind::kEqualMaxModel, "first"},
-      {core::SystemKind::kUnifIncrCredits, "least-pending-cost"},
-  };
-  for (const auto& entry : cases) {
-    const core::ScenarioConfig legacy = small_config(entry.system);
+  for (const core::SystemKind system : {core::SystemKind::kC3, core::SystemKind::kEqualMaxModel,
+                                        core::SystemKind::kUnifIncrCredits}) {
+    const core::ScenarioConfig legacy = small_config(system);
     core::ScenarioConfig bound = legacy;
-    bound.policy_spec = entry.selector;
-    EXPECT_EQ(cases_fingerprint("golden", legacy, seeds,
-                                run_case(legacy, seeds, to_string(entry.system))),
-              cases_fingerprint("golden", bound, seeds,
-                                run_case(bound, seeds, to_string(entry.system))))
-        << to_string(entry.system);
+    bound.policy_spec = core::system_preset(system).selector;
+    EXPECT_EQ(
+        cases_fingerprint("golden", legacy, seeds, run_case(legacy, seeds, to_string(system))),
+        cases_fingerprint("golden", bound, seeds, run_case(bound, seeds, to_string(system))))
+        << to_string(system);
   }
 }
 
@@ -590,7 +610,7 @@ TEST(GoldenEquivalence, LargeClusterScaledDownMatches) {
   legacy.cluster.num_servers = 20;
   legacy.num_clients = 50;
   core::ScenarioConfig bound = legacy;
-  bound.policy_spec = "lpc";  // alias resolves to the profile default
+  bound.policy_spec = "lpc";  // alias resolves to the preset default
 
   EXPECT_EQ(cases_fingerprint("golden", legacy, seeds, run_case(legacy, seeds, "large")),
             cases_fingerprint("golden", bound, seeds, run_case(bound, seeds, "large")));

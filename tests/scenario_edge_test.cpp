@@ -68,22 +68,7 @@ TEST(ScenarioEdge, GateDrainsFullyAcrossPolicyMatrix) {
   // (should be 0)": whatever the dispatch mechanism (direct, credits,
   // rate-gated C3, global queue), a completed run must not strand
   // requests inside a client gate.
-  const SystemKind matrix[] = {
-      SystemKind::kC3,
-      SystemKind::kEqualMaxCredits,
-      SystemKind::kUnifIncrCredits,
-      SystemKind::kEqualMaxModel,
-      SystemKind::kUnifIncrModel,
-      SystemKind::kFifoDirect,
-      SystemKind::kRandomFifo,
-      SystemKind::kEqualMaxDirect,
-      SystemKind::kUnifIncrDirect,
-      SystemKind::kFifoModel,
-      SystemKind::kRequestSjfDirect,
-      SystemKind::kCumSlackCredits,
-      SystemKind::kCumSlackModel,
-  };
-  for (const SystemKind kind : matrix) {
+  for (const SystemKind kind : all_system_kinds()) {
     ScenarioConfig config = small_config(kind);
     config.num_tasks = 1500;
     const RunResult result = run_scenario(config);

@@ -76,14 +76,7 @@ TEST_P(AllSystems, DifferentSeedsDiffer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Systems, AllSystems,
-    ::testing::Values(SystemKind::kC3, SystemKind::kEqualMaxCredits,
-                      SystemKind::kUnifIncrCredits, SystemKind::kEqualMaxModel,
-                      SystemKind::kUnifIncrModel, SystemKind::kFifoDirect,
-                      SystemKind::kRandomFifo, SystemKind::kEqualMaxDirect,
-                      SystemKind::kUnifIncrDirect, SystemKind::kFifoModel,
-                      SystemKind::kRequestSjfDirect, SystemKind::kCumSlackCredits,
-                      SystemKind::kCumSlackModel),
+    Systems, AllSystems, ::testing::ValuesIn(all_system_kinds()),
     [](const ::testing::TestParamInfo<SystemKind>& info) {
       std::string name = to_string(info.param);
       for (char& c : name) {

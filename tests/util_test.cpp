@@ -119,6 +119,27 @@ TEST(Flags, GetUintRejectsTrailingJunkAndNamesTheFlag) {
   }
 }
 
+TEST(Flags, RepeatedFlagThrowsNamingIt) {
+  // The second `--tasks` used to be dropped unread, so its junk passed.
+  const struct {
+    std::string name;
+    std::vector<const char*> args;
+  } cases[] = {
+      {"--tasks", {"--tasks=300", "--tasks=2000abc"}},
+      {"--tasks", {"--tasks", "300", "--tasks", "300"}},
+      {"--seeds", {"--seeds=2", "--tasks", "9", "--seeds", "3"}},
+      {"--quiet", {"--quiet", "--seeds=2", "--quiet"}},
+  };
+  for (const auto& c : cases) {
+    try {
+      parse(c.args);
+      ADD_FAILURE() << "accepted a repeated " << c.name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.name), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Flags, GetUintParsesAndRejectsNegatives) {
   const Flags flags = parse({"--tasks", "500", "--seeds", "-1"});
   EXPECT_EQ(flags.get_uint("tasks", 0), 500u);
