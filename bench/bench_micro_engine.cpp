@@ -157,36 +157,6 @@ MicroResult bench_event_queue_cancel_heap(std::uint64_t rounds) {
   });
 }
 
-MicroResult bench_batch_drain_same_timestamp(std::uint64_t rounds) {
-  // Same-timestamp burst delivery: pop_batch takes the whole
-  // coincident group in one call and claim() hands out each callback
-  // without re-touching the queue's ordering structures per event —
-  // the path Simulator::run() drives for every batch.
-  brb::sim::EventQueue queue;
-  const std::uint64_t batch = 1024;
-  std::vector<brb::sim::EventQueue::Ready> ready;
-  brb::sim::EventQueue::Callback fn;
-  std::int64_t now = 0;
-  std::uint64_t ran = 0;
-  MicroResult result = run_micro("batch_drain_same_timestamp", rounds * batch, [&] {
-    for (std::uint64_t r = 0; r < rounds; ++r) {
-      now += 1'000'000;
-      for (std::uint64_t i = 0; i < batch; ++i) {
-        queue.push(brb::sim::Time::nanos(now), [&ran] { ++ran; });
-      }
-      ready.clear();
-      if (!queue.pop_batch(ready) || ready.size() != batch) std::abort();
-      for (const auto& ev : ready) {
-        if (!queue.claim(ev, fn)) std::abort();
-        fn();
-        fn.reset();
-      }
-    }
-  });
-  if (ran != rounds * batch) std::abort();
-  return result;
-}
-
 MicroResult bench_simulator_self_scheduling(std::uint64_t rounds) {
   const std::uint64_t chain = 10'000;
   return run_micro("simulator_self_scheduling", rounds * chain, [&] {
@@ -392,7 +362,6 @@ int main(int argc, char** argv) {
   micro.push_back(bench_wheel_short_delta_push_pop(rounds));
   micro.push_back(bench_wheel_cascade(rounds));
   micro.push_back(bench_event_queue_cancel_heap(rounds));
-  micro.push_back(bench_batch_drain_same_timestamp(rounds));
   micro.push_back(bench_simulator_self_scheduling(quick ? 20 : 200));
   micro.push_back(bench_priority_discipline(rounds));
   micro.push_back(bench_c3_scoring(ops));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <iostream>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -20,7 +21,6 @@
 #include "server/service_model.hpp"
 #include "sim/simulator.hpp"
 #include "store/partitioner.hpp"
-#include "util/logger.hpp"
 #include "util/rng.hpp"
 #include "workload/task_gen.hpp"
 #include "workload/trace.hpp"
@@ -379,9 +379,9 @@ RunResult run_scenario(const ScenarioConfig& config) {
   if (uses_kofn && config.utilization >= 0.6) {
     static std::once_flag kofn_warned;
     std::call_once(kofn_warned, [&config] {
-      BRB_WARN("scenario") << "kofn dispatch at utilization " << config.utilization
-                           << " >= 0.6: n-fold load amplification may exceed fleet capacity "
-                              "(see README, tail-cutting regimes)";
+      std::cerr << "[WARN] [scenario] kofn dispatch at utilization " << config.utilization
+                << " >= 0.6: n-fold load amplification may exceed fleet capacity "
+                   "(see README, tail-cutting regimes)\n";
     });
   }
 

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/ewma.hpp"
-#include "util/logger.hpp"
 
 namespace brb::server {
 

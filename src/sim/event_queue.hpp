@@ -25,15 +25,9 @@
 // A wheel slot can hold several distinct timestamps (the granule is
 // coarser than 1 ns), so a slot is drained into a small sorted "ready
 // run" which is then merge-popped against the heap top; same-timestamp
-// events come out in scheduling order by construction.
-//
-// Batched delivery. `pop_batch()` removes *every* event at the
-// earliest pending timestamp in one call (the simulator dispatches the
-// batch without re-touching the queue per event); `claim()` /
-// `restore()` let the caller execute the batch while cancellation —
-// and a mid-batch stop() — keep exact old-engine semantics: an
-// unexecuted event goes back with its original time, sequence number,
-// and EventId still valid.
+// events come out in scheduling order by construction. `pop()` hands
+// out one event at a time; its slot is released before the caller
+// runs the callback, so the callback may push or cancel freely.
 #pragma once
 
 #include <array>
@@ -60,16 +54,6 @@ class EventQueue {
     Time when;
     EventId id = 0;
     Callback fn;
-  };
-
-  /// One event of a popped batch. The callback stays in the queue's
-  /// slot table until `claim()`ed, so the event's id remains valid (and
-  /// cancellable) while earlier batch members execute.
-  struct Ready {
-    Time when;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t generation = 0;
   };
 
   EventQueue();
@@ -105,22 +89,7 @@ class EventQueue {
   /// Removes and returns the earliest live event; empty when drained.
   std::optional<Entry> pop();
 
-  /// Removes every event at the earliest pending timestamp, appending
-  /// them to `out` in scheduling (seq) order. Returns false when the
-  /// queue is empty. The callbacks remain claimable afterwards.
-  bool pop_batch(std::vector<Ready>& out);
-
-  /// Moves a popped batch event's callback into `fn` and releases the
-  /// slot (the id becomes stale). Returns false — and leaves `fn`
-  /// untouched — if the event was cancelled after pop_batch().
-  bool claim(const Ready& ev, Callback& fn);
-
-  /// Puts an unexecuted batch event back into the queue with its
-  /// original time and sequence number; its EventId stays valid. Used
-  /// when stop() interrupts a half-dispatched batch.
-  void restore(const Ready& ev);
-
-  /// Number of live events (batch events not yet claimed count as live).
+  /// Number of live events.
   std::size_t size() const noexcept { return live_; }
   bool empty() const noexcept { return live_ == 0; }
 
@@ -148,7 +117,6 @@ class EventQueue {
     kWheel,  // linked into a wheel slot list
     kHeap,   // indexed by heap_pos in heap_
     kReady,  // in the sorted ready run (current wheel bucket, drained)
-    kLoose,  // handed out by pop_batch, awaiting claim/restore
   };
 
   static constexpr std::uint32_t kNil = 0xffff'ffffu;
@@ -160,7 +128,7 @@ class EventQueue {
     Time when;
     std::uint64_t seq = 0;
     std::uint32_t generation = 0;  // odd while occupied
-    Tier tier = Tier::kLoose;
+    Tier tier = Tier::kWheel;      // meaningful only while occupied
     std::uint8_t level = 0;       // wheel tier: level index
     std::uint16_t bucket = 0;     // wheel tier: slot within level
     std::uint32_t prev = kNil;    // wheel tier: intrusive list links
@@ -245,6 +213,15 @@ class EventQueue {
   /// next time the level looks like the minimum — it is never
   /// stale-high, so no candidate can be missed.
   std::array<std::int64_t, kLevels> level_hint_;
+
+  /// One entry of the ready run. The generation detects an entry whose
+  /// event was cancelled after it joined the run.
+  struct Ready {
+    Time when;
+    std::uint64_t seq = 0;
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+  };
 
   // Ready run: the drained current bucket, sorted by (when, seq).
   // `ready_pos_` avoids erase-from-front churn.

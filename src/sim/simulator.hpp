@@ -2,15 +2,12 @@
 //
 // A `Simulator` owns the virtual clock and the pending-event set.
 // Components schedule closures at absolute or relative times; `run()`
-// drains events in (time, scheduling-order) sequence. Delivery is
-// batched: every event at the earliest pending timestamp is drained
-// from the queue in one `pop_batch()` call and dispatched from a
-// scratch vector, so the queue is not re-touched per event — the
-// common burst shapes (a wave of network deliveries at the same
-// instant, a fan-out of feedback ticks) pay the tier bookkeeping once.
-// Batch members dispatch in strictly increasing scheduling-sequence
-// order (debug-asserted), which keeps batched replay bit-identical to
-// the one-pop-per-event engine. The engine is single-threaded by
+// drains events in (time, scheduling-order) sequence. Every entry
+// point — `run()`, `run_until()` and `step()` — dispatches through one
+// path: pop the earliest event, advance the clock to it, run it. Events
+// at the same instant therefore run in scheduling order, and a
+// callback that cancels a later peer, or calls `stop()`, acts on
+// events still in the queue. The engine is single-threaded by
 // design — determinism is a feature of the evaluation methodology (the
 // paper repeats runs over seeds, which requires bit-stable replay per
 // seed).
@@ -18,7 +15,6 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -73,7 +69,7 @@ class Simulator {
   std::uint64_t run_until(Time until);
 
   /// Executes exactly one event if one is pending. Returns true if an
-  /// event ran.
+  /// event ran. `run()` and `run_until()` loop over this.
   bool step();
 
   /// Makes run()/run_until() return after the current event finishes.
@@ -86,17 +82,7 @@ class Simulator {
   std::uint64_t events_processed() const noexcept { return processed_; }
 
  private:
-  /// By reference: the popped entry's callback is invoked in place
-  /// rather than moved a second time.
-  void advance_and_execute(EventQueue::Entry& entry);
-
-  /// Pops and dispatches one same-timestamp batch. Returns false when
-  /// the queue is empty; on stop() mid-batch, unexecuted events are
-  /// restored to the queue with their original time/sequence/id.
-  bool run_batch(std::uint64_t& executed);
-
   EventQueue queue_;
-  std::vector<EventQueue::Ready> batch_;  // scratch, reused across batches
   Time now_ = Time::zero();
   std::uint64_t processed_ = 0;
   bool stopped_ = false;

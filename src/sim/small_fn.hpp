@@ -152,7 +152,7 @@ class SmallFn {
                   std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>) {
       // Trivial inline fast path: no manager function at all. Moves
       // byte-copy the buffer and destruction is a no-op, which keeps
-      // the event queue's claim/release cycle free of indirect calls —
+      // the event queue's pop/release cycle free of indirect calls —
       // the simulator's hot closures (deliveries, completions) capture
       // only ids, times, and raw pointers, so they all land here.
       storage_kind_ = Storage::kInline;

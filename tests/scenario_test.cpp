@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
+
+#include "cli/scenario_registry.hpp"
+#include "util/flags.hpp"
 
 namespace brb::core {
 namespace {
@@ -242,6 +246,38 @@ TEST(Scenario, QueueCountsMatchPins) {
     }
     EXPECT_EQ(served, pin.served) << label;
     EXPECT_EQ(max_queue_seen, pin.max_queue_seen) << label;
+  }
+}
+
+// Exact-count gate: events and network messages per run. Wall time
+// drifts between runs on shared hosts; these counts do not, so a
+// change that claims to run the same events (an engine refactor, a
+// dispatch fast path) is checked here without timing anything. The
+// cases are the `paper` scenario's own configs at one seed and task
+// count; a change that moves a count must say why and re-pin it.
+struct EventCountPin {
+  const char* label;
+  std::uint64_t events_processed;
+  std::uint64_t network_messages;
+};
+
+TEST(Scenario, PaperEventAndMessageCountsArePinned) {
+  const cli::ScenarioSpec* spec = cli::find_scenario("paper");
+  ASSERT_NE(spec, nullptr);
+  ScenarioConfig base;
+  base.num_tasks = 2000;
+  const std::vector<cli::ExperimentCase> cases = spec->expand(base, util::Flags{});
+  for (const EventCountPin& pin : {EventCountPin{"equalmax-credits", 49900, 31920},
+                                   EventCountPin{"c3", 66455, 31884}}) {
+    const auto it = std::find_if(cases.begin(), cases.end(),
+                                 [&](const cli::ExperimentCase& c) { return c.label == pin.label; });
+    ASSERT_NE(it, cases.end()) << pin.label;
+    ScenarioConfig config = it->config;
+    config.seed = 1;
+    const RunResult result = run_scenario(config);
+    EXPECT_EQ(result.tasks_completed, 2000u) << pin.label;
+    EXPECT_EQ(result.events_processed, pin.events_processed) << pin.label;
+    EXPECT_EQ(result.network_messages, pin.network_messages) << pin.label;
   }
 }
 

@@ -243,5 +243,56 @@ TEST(Simulator, NestedSchedulingAtSameInstantRunsAfterEarlierPeers) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
+TEST(Simulator, CancellingASameInstantPeerStopsItRunning) {
+  Simulator sim;
+  const Time t = Time::micros(10);
+  int ran = 0;
+  EventId middle = 0;
+  sim.schedule_at(t, [&] {
+    ran += 1;
+    EXPECT_TRUE(sim.cancel(middle));
+    EXPECT_FALSE(sim.cancel(middle));
+  });
+  middle = sim.schedule_at(t, [&] { ran += 10; });
+  sim.schedule_at(t, [&] { ran += 100; });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(ran, 101);
+  EXPECT_FALSE(sim.has_pending());
+}
+
+TEST(Simulator, StopAtAnInstantLeavesLaterPeersPendingWithValidIds) {
+  Simulator sim;
+  const Time t = Time::micros(10);
+  std::vector<int> order;
+  sim.schedule_at(t, [&] {
+    order.push_back(1);
+    sim.stop();
+  });
+  const EventId second = sim.schedule_at(t, [&] { order.push_back(2); });
+  sim.schedule_at(t, [&] { order.push_back(3); });
+
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.now(), t);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(sim.cancel(second));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.now(), t);
+}
+
+TEST(Simulator, RunUntilRunsEveryPeerAtTheBoundaryInScheduleOrder) {
+  Simulator sim;
+  const Time t = Time::micros(20);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    sim.schedule_at(t, [&order, i] { order.push_back(i); });
+  }
+  sim.schedule_at(t + Duration::nanos(1), [&order] { order.push_back(99); });
+  EXPECT_EQ(sim.run_until(t), 5u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), t);
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
 }  // namespace
 }  // namespace brb::sim
