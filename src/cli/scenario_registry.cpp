@@ -8,6 +8,7 @@
 #include "ctrl/dispatch_policy.hpp"
 #include "ctrl/policy_runtime.hpp"
 #include "ctrl/replica_policy.hpp"
+#include "workload/trace.hpp"
 
 namespace brb::cli {
 
@@ -169,7 +170,11 @@ std::vector<ExperimentCase> expand_trace_replay(const ScenarioConfig& base,
         "scenario trace-replay needs --trace=PATH (record one with "
         "brbsim --record-trace=PATH or example_trace_replay)");
   }
-  return per_system(base,
+  // The replay runs the trace's tasks, whatever --tasks says; record
+  // that count so each case's artifact block describes the run.
+  ScenarioConfig config = base;
+  config.num_tasks = workload::TraceReader::read_file(base.trace_path).size();
+  return per_system(config,
                     systems_from_flags(flags, {SystemKind::kC3, SystemKind::kEqualMaxCredits}));
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace brb::client {
 
@@ -73,16 +74,25 @@ void AppClient::submit(workload::TaskSpec task) {
   if (task.requests.empty()) {
     throw std::invalid_argument("AppClient::submit: task with no requests");
   }
-  ++stats_.tasks_submitted;
   const store::TaskId task_id = task.id;  // spec is moved out below
+  // Responses find their task by id, so a second live task under the
+  // same id could never complete.
+  const auto [pending_it, fresh] = pending_tasks_.try_emplace(task_id);
+  if (!fresh) {
+    throw std::invalid_argument("AppClient::submit: task id " + std::to_string(task_id) +
+                                " is already in flight");
+  }
+  ++stats_.tasks_submitted;
 
-  // 1. Plan: forecast costs and group requests by replica group.
+  // 1. Plan: forecast costs and look up each request's replica group.
+  // A write goes out once per replica of its group (step 4).
   policy::TaskPlan& plan = plan_scratch_;
   plan.task_id = task.id;
   plan.arrival = now();
-  plan.bottleneck_cost = sim::Duration::zero();
   plan.requests.clear();
   plan.requests.reserve(task.requests.size());
+  bool all_writes = true;
+  std::uint32_t wire_requests = 0;
   for (const workload::RequestSpec& spec : task.requests) {
     policy::PlannedRequest planned;
     planned.key = spec.key;
@@ -91,64 +101,38 @@ void AppClient::submit(workload::TaskSpec task) {
     planned.group = partitioner_->group_of(spec.key);
     planned.expected_cost = forecast_cost(spec.size_hint);
     plan.requests.push_back(planned);
+    all_writes = all_writes && spec.is_write;
+    wire_requests += spec.is_write ? static_cast<std::uint32_t>(
+                                         partitioner_->replicas_of(planned.group).size())
+                                   : 1;
   }
 
-  // 2. Dispatch planning: jointly per sub-task (BRB) or per request.
-  // The endpoint returns a full DispatchPlan; `planned.server` carries
-  // the primary for the bottleneck/priority step, and the plan itself
-  // (parallel scratch) drives multi-copy dispatch in step 4. Group
-  // aggregation runs over sorted scratch vectors (reused across
-  // submits); policies still observe groups in ascending id order,
-  // exactly as the std::map formulation did. Writes have no replica
-  // freedom (every replica executes a copy), so a pure-write task
-  // skips planning entirely; a mixed task (possible via
-  // tasks_override) still plans for every group — its reads use the
+  // 2. Split into sub-tasks (the task-aware step): one summed cost per
+  // replica group, ascending group id, and the bottleneck among them.
+  policy::compute_bottleneck(plan);
+
+  // 3. Dispatch planning: jointly per sub-task (BRB) or per request,
+  // then priorities. The endpoint returns a full DispatchPlan whose
+  // primary is the single-copy target and which drives multi-copy
+  // dispatch in step 4. Policies observe groups in ascending id order.
+  // Writes have no replica freedom (every replica executes a copy), so
+  // a pure-write task skips planning entirely; a mixed task (possible
+  // via tasks_override) still plans for every group — its reads use the
   // plan, its writes ignore it.
-  const bool all_writes =
-      std::all_of(plan.requests.begin(), plan.requests.end(),
-                  [](const policy::PlannedRequest& planned) { return planned.is_write; });
-  request_plan_scratch_.clear();
-  request_plan_scratch_.resize(plan.requests.size());
+  dispatch_plans_.clear();
   if (all_writes) {
     // Generated write tasks are all-or-nothing per task.
-  } else if (config_.select_per_subtask && plan.requests.size() == 1) {
-    // Median fan-out is 1-2 requests: skip the aggregation machinery.
-    policy::PlannedRequest& planned = plan.requests.front();
-    const ctrl::DispatchPlan dispatch =
-        endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
-    planned.server = dispatch.primary();
-    request_plan_scratch_.front() = dispatch;
   } else if (config_.select_per_subtask) {
-    group_cost_scratch_.clear();
-    for (const policy::PlannedRequest& planned : plan.requests) {
-      group_cost_scratch_.emplace_back(planned.group, planned.expected_cost.count_nanos());
-    }
-    policy::collapse_group_costs(group_cost_scratch_);
-    chosen_scratch_.clear();
-    for (const auto& [group, cost] : group_cost_scratch_) {
-      chosen_scratch_.emplace_back(
-          group, endpoint_->plan(partitioner_->replicas_of(group), sim::Duration::nanos(cost)));
-    }
-    for (std::size_t i = 0; i < plan.requests.size(); ++i) {
-      policy::PlannedRequest& planned = plan.requests[i];
-      const auto it = std::lower_bound(
-          chosen_scratch_.begin(), chosen_scratch_.end(), planned.group,
-          [](const auto& entry, store::GroupId group) { return entry.first < group; });
-      planned.server = it->second.primary();
-      request_plan_scratch_[i] = it->second;
+    for (const policy::SubTask& subtask : plan.subtasks) {
+      dispatch_plans_.push_back(
+          endpoint_->plan(partitioner_->replicas_of(subtask.group), subtask.cost));
     }
   } else {
-    for (std::size_t i = 0; i < plan.requests.size(); ++i) {
-      policy::PlannedRequest& planned = plan.requests[i];
-      const ctrl::DispatchPlan dispatch =
-          endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost);
-      planned.server = dispatch.primary();
-      request_plan_scratch_[i] = dispatch;
+    for (const policy::PlannedRequest& planned : plan.requests) {
+      dispatch_plans_.push_back(
+          endpoint_->plan(partitioner_->replicas_of(planned.group), planned.expected_cost));
     }
   }
-
-  // 3. Bottleneck + priorities (the task-aware step).
-  policy::compute_bottleneck(plan);
   priority_policy_->assign(plan);
 
   // 4. Track the task and dispatch every request through the gate.
@@ -159,18 +143,10 @@ void AppClient::submit(workload::TaskSpec task) {
   // puts on the credit and congestion paths. `remaining` counts
   // LOGICAL units: a multi-copy read still contributes one — its
   // duplicate copies complete (or cancel) outside task accounting.
-  std::uint32_t wire_requests = 0;
-  for (const policy::PlannedRequest& planned : plan.requests) {
-    wire_requests += planned.is_write
-                         ? static_cast<std::uint32_t>(
-                               partitioner_->replicas_of(planned.group).size())
-                         : 1;
-  }
-  PendingTask pending;
+  PendingTask& pending = pending_it->second;
   pending.spec = std::move(task);
   pending.remaining = wire_requests;
   pending.started = now();
-  pending_tasks_.emplace(task_id, std::move(pending));
 
   const auto dispatch = [&](const policy::PlannedRequest& planned, store::ServerId server) {
     OutboundRequest out;
@@ -199,11 +175,15 @@ void AppClient::submit(workload::TaskSpec task) {
       for (const store::ServerId replica : partitioner_->replicas_of(planned.group)) {
         dispatch(planned, replica);
       }
-    } else if (request_plan_scratch_[i].mode == ctrl::DispatchMode::kSingle) {
-      if (request_plan_scratch_[i].skipped_fresh) ++stats_.hedges_skipped_fresh;
-      dispatch(planned, planned.server);
+      continue;
+    }
+    const ctrl::DispatchPlan& plan_for =
+        dispatch_plans_[config_.select_per_subtask ? planned.subtask : i];
+    if (plan_for.mode == ctrl::DispatchMode::kSingle) {
+      if (plan_for.skipped_fresh) ++stats_.hedges_skipped_fresh;
+      dispatch(planned, plan_for.primary());
     } else {
-      dispatch_plan(planned, request_plan_scratch_[i], task_id);
+      dispatch_plan(planned, plan_for, task_id);
     }
   }
 }

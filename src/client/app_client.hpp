@@ -232,14 +232,12 @@ class AppClient : public sim::Actor {
   /// TaskView submit path (bounded; steady state allocates nothing).
   static constexpr std::size_t kSpecPoolMax = 64;
   std::vector<std::vector<workload::RequestSpec>> spec_pool_;
-  /// Planning scratch reused across submits — the per-task std::maps
-  /// this replaces dominated client-side allocation at paper scale.
+  /// Planning scratch reused across submits (only capacity survives).
   policy::TaskPlan plan_scratch_;
-  std::vector<std::pair<store::GroupId, std::int64_t>> group_cost_scratch_;
-  std::vector<std::pair<store::GroupId, ctrl::DispatchPlan>> chosen_scratch_;
-  /// Per-request plans (parallel to plan_scratch_.requests) for the
-  /// multi-copy dispatch step; single-mode plans never touch it.
-  std::vector<ctrl::DispatchPlan> request_plan_scratch_;
+  /// The task's dispatch plans: one per sub-task (indexed by
+  /// PlannedRequest::subtask) under select_per_subtask, else one per
+  /// request (indexed like plan_scratch_.requests).
+  std::vector<ctrl::DispatchPlan> dispatch_plans_;
   const store::Partitioner* partitioner_;
   const server::ServiceTimeModel* cost_model_;
   std::unique_ptr<ctrl::DispatchEndpoint> endpoint_;

@@ -6,6 +6,7 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -133,6 +134,16 @@ RunResult run_scenario(const ScenarioConfig& config) {
   }
   if (replay != nullptr && replay->empty()) {
     throw std::invalid_argument("run_scenario: empty trace");
+  }
+  if (config.tasks_override != nullptr) {
+    // Responses find their task by id (TraceReader checks trace files).
+    std::set<store::TaskId> ids;
+    for (const workload::TaskSpec& task : *config.tasks_override) {
+      if (!ids.insert(task.id).second) {
+        throw std::invalid_argument("run_scenario: duplicate task id " + std::to_string(task.id) +
+                                    " in tasks_override");
+      }
+    }
   }
   const std::uint64_t total_tasks = replay ? replay->size() : config.num_tasks;
 

@@ -8,72 +8,57 @@ namespace brb::policy {
 
 namespace {
 
-/// Per-group accumulation without a per-task hash map: pairs are
-/// gathered into a thread-local scratch vector, sorted by group, and
-/// summed per run. Integer sums make the result order-independent.
-std::vector<std::pair<store::GroupId, std::int64_t>>& group_scratch() {
-  // brblint:allow(BRB-D02): content-free reuse — cleared before every use, only capacity survives
-  thread_local std::vector<std::pair<store::GroupId, std::int64_t>> scratch;
+constexpr std::uint32_t kNoSubTask = UINT32_MAX;
+
+/// Planning scratch shared by every client planning on this thread, not
+/// one per client: mega-fleet pairs 1M clients with 10k groups. Between
+/// calls every `subtask_of` entry is kNoSubTask.
+struct PlanScratch {
+  std::vector<std::uint32_t> subtask_of;  // GroupId -> sub-task index
+  std::vector<std::int64_t> running;      // CumSlack, per sub-task
+};
+
+PlanScratch& plan_scratch() {
+  // brblint:allow(BRB-D02): content-free reuse — reset or overwritten each use, only capacity survives
+  thread_local PlanScratch scratch;
   return scratch;
 }
 
 }  // namespace
 
-void collapse_group_costs(std::vector<std::pair<store::GroupId, std::int64_t>>& pairs) {
-  // Sorting is only a grouping device here: equal-group entries sum
-  // into one exact int64 total whatever their relative order, so the
-  // (unstable) algorithm choice cannot change the collapsed output.
-  // Typical tasks carry a handful of requests — insertion sort beats
-  // introsort's dispatch overhead at that size.
-  const auto by_group = [](const auto& a, const auto& b) { return a.first < b.first; };
-  if (pairs.size() <= 16) {
-    for (std::size_t i = 1; i < pairs.size(); ++i) {
-      auto item = pairs[i];
-      std::size_t j = i;
-      for (; j > 0 && item.first < pairs[j - 1].first; --j) pairs[j] = pairs[j - 1];
-      pairs[j] = item;
-    }
-  } else {
-    std::sort(pairs.begin(), pairs.end(), by_group);
-  }
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < pairs.size();) {
-    const store::GroupId group = pairs[i].first;
-    std::int64_t cost = 0;
-    for (; i < pairs.size() && pairs[i].first == group; ++i) cost += pairs[i].second;
-    pairs[out++] = {group, cost};
-  }
-  pairs.resize(out);
-}
-
 void compute_bottleneck(TaskPlan& plan) {
+  std::vector<SubTask>& subtasks = plan.subtasks;
+  subtasks.clear();
   if (plan.requests.size() == 1) {
-    plan.bottleneck_cost = plan.requests.front().expected_cost;
+    PlannedRequest& only = plan.requests.front();
+    only.subtask = 0;
+    subtasks.push_back({only.group, only.expected_cost});
+    plan.bottleneck_cost = only.expected_cost;
     return;
   }
-  // Only the max of the per-group sums is needed, and int64 sums are
-  // exact in any accumulation order — so skip the sort-and-collapse
-  // pass and accumulate into a small linear-scan table (tasks touch
-  // few distinct groups).
-  auto& scratch = group_scratch();
-  scratch.clear();
+  std::vector<std::uint32_t>& subtask_of = plan_scratch().subtask_of;
   for (const PlannedRequest& request : plan.requests) {
-    std::int64_t* sum = nullptr;
-    for (auto& entry : scratch) {
-      if (entry.first == request.group) {
-        sum = &entry.second;
-        break;
-      }
+    if (request.group >= subtask_of.size()) subtask_of.resize(request.group + 1, kNoSubTask);
+    if (subtask_of[request.group] == kNoSubTask) {
+      subtask_of[request.group] = 0;
+      subtasks.push_back({request.group, sim::Duration::zero()});
     }
-    if (sum == nullptr) {
-      scratch.emplace_back(request.group, 0);
-      sum = &scratch.back().second;
-    }
-    *sum += request.expected_cost.count_nanos();
   }
-  std::int64_t bottleneck = 0;
-  for (const auto& [group, cost] : scratch) bottleneck = std::max(bottleneck, cost);
-  plan.bottleneck_cost = sim::Duration::nanos(bottleneck);
+  // Groups are distinct, so the order is total; the list holds at most
+  // one entry per group, however large the fan-out.
+  std::sort(subtasks.begin(), subtasks.end(),
+            [](const SubTask& a, const SubTask& b) { return a.group < b.group; });
+  for (std::uint32_t i = 0; i < subtasks.size(); ++i) subtask_of[subtasks[i].group] = i;
+  for (PlannedRequest& request : plan.requests) {
+    request.subtask = subtask_of[request.group];
+    subtasks[request.subtask].cost += request.expected_cost;
+  }
+  sim::Duration bottleneck = sim::Duration::zero();
+  for (const SubTask& subtask : subtasks) {
+    bottleneck = std::max(bottleneck, subtask.cost);
+    subtask_of[subtask.group] = kNoSubTask;
+  }
+  plan.bottleneck_cost = bottleneck;
 }
 
 void FifoPolicy::assign(TaskPlan& plan) const {
@@ -102,24 +87,14 @@ void RequestSjfPolicy::assign(TaskPlan& plan) const {
 
 void CumSlackPolicy::assign(TaskPlan& plan) const {
   const std::int64_t bottleneck = plan.bottleneck_cost.count_nanos();
-  // Small linear-scan table: tasks touch few distinct groups, and the
-  // running sum must follow request order, so a sort is not an option.
-  auto& running = group_scratch();
-  running.clear();
+  // The running sum must follow request order, so it accumulates per
+  // sub-task index rather than over the sub-task totals.
+  std::vector<std::int64_t>& running = plan_scratch().running;
+  running.assign(plan.subtasks.size(), 0);
   for (PlannedRequest& request : plan.requests) {
-    std::int64_t* cumulative = nullptr;
-    for (auto& entry : running) {
-      if (entry.first == request.group) {
-        cumulative = &entry.second;
-        break;
-      }
-    }
-    if (cumulative == nullptr) {
-      running.emplace_back(request.group, 0);
-      cumulative = &running.back().second;
-    }
-    *cumulative += request.expected_cost.count_nanos();
-    const std::int64_t slack = bottleneck - *cumulative;
+    std::int64_t& cumulative = running[request.subtask];
+    cumulative += request.expected_cost.count_nanos();
+    const std::int64_t slack = bottleneck - cumulative;
     request.priority = static_cast<store::Priority>(slack < 0 ? 0 : slack);
   }
 }

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -32,10 +31,18 @@ struct PlannedRequest {
   store::KeyId key = 0;
   std::uint32_t size_hint = 0;
   store::GroupId group = 0;
-  store::ServerId server = 0;
   bool is_write = false;
+  /// Index of its sub-task in TaskPlan::subtasks (compute_bottleneck).
+  std::uint32_t subtask = 0;
   sim::Duration expected_cost = sim::Duration::zero();
   store::Priority priority = 0.0;  // output of the policy
+};
+
+/// The task's requests for one replica group. They serialize at the
+/// chosen replica, so the sub-task costs the sum of their costs.
+struct SubTask {
+  store::GroupId group = 0;
+  sim::Duration cost = sim::Duration::zero();
 };
 
 /// A task after splitting and cost forecasting.
@@ -43,21 +50,19 @@ struct TaskPlan {
   store::TaskId task_id = 0;
   sim::Time arrival;
   std::vector<PlannedRequest> requests;
+  /// One per distinct group, in ascending group id (compute_bottleneck).
+  std::vector<SubTask> subtasks;
   /// Cost of the costliest sub-task (max over groups of the summed
   /// expected costs); filled by the planner before assign().
   sim::Duration bottleneck_cost = sim::Duration::zero();
 };
 
-/// Computes per-group sub-task costs and the bottleneck for a plan.
-/// Sub-task cost = sum of its requests' expected costs (requests for
-/// one replica group serialize at the chosen replica).
+/// Splits a plan into sub-tasks: fills plan.subtasks, stamps each
+/// request's `subtask` index and sets the bottleneck to the largest
+/// sub-task cost. One pass over the requests through a dense
+/// group-indexed table, plus a sort of the distinct groups; integer sums
+/// keep every cost independent of request order.
 void compute_bottleneck(TaskPlan& plan);
-
-/// Sorts (group, cost) pairs by group id and collapses equal-group
-/// runs into summed costs, in place. Shared by the planner's replica
-/// selection and compute_bottleneck so the aggregation cannot drift
-/// between the two; integer sums keep the result order-independent.
-void collapse_group_costs(std::vector<std::pair<store::GroupId, std::int64_t>>& pairs);
 
 class PriorityPolicy {
  public:

@@ -125,6 +125,9 @@ TaskGenerator::TaskGenerator(Config config, const Dataset& dataset, const KeyDis
   fixed_fanout_ = dynamic_cast<const FixedFanout*>(fanout_);
   geometric_fanout_ = dynamic_cast<const GeometricFanout*>(fanout_);
   lognormal_fanout_ = dynamic_cast<const LogNormalFanout*>(fanout_);
+  // The dataset bounds every keyspace the generator draws from, its
+  // tenants' included.
+  if (config_.distinct_keys) key_seen_.assign((dataset_->num_keys() + 63) / 64, 0);
   scratch_block_.clear();
 }
 
@@ -269,19 +272,26 @@ void TaskGenerator::append_requests(TaskBlock& block, const KeyDistribution& key
     return;
   }
 
-  // Distinct keys. Sorted-vector membership: insertion keeps the
-  // scratch ordered so the dedup check is a binary search. Requests are
-  // emitted in sample order; the RNG stream and the generated task are
-  // byte-identical to the scalar rejection loop (pinned by
-  // workload_test's DistinctKeyStreamIsPinned).
-  std::vector<store::KeyId>& chosen = chosen_scratch_;
-  chosen.clear();
-  chosen.reserve(fanout);
-  const auto try_insert = [&chosen](store::KeyId key) {
-    const auto it = std::lower_bound(chosen.begin(), chosen.end(), key);
-    if (it != chosen.end() && *it == key) return false;
-    chosen.insert(it, key);
+  // Distinct keys. Membership is one bit per key of the keyspace, and
+  // this task's requests list every bit it sets, so they clear it after.
+  // Requests are emitted in sample order; the RNG stream and the
+  // generated task are byte-identical to the scalar rejection loop
+  // (pinned by workload_test's DistinctKeyStreamIsPinned*).
+  const std::size_t first = pool.size();
+  const auto chosen = [&pool, first] { return pool.size() - first; };
+  const auto try_insert = [this](store::KeyId key) {
+    std::uint64_t& word = key_seen_[static_cast<std::size_t>(key >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (key & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
     return true;
+  };
+  const auto push = [&](store::KeyId key) {
+    if (is_write) {
+      push_write(key);
+    } else {
+      push_read(key);
+    }
   };
   // The popularity distribution may not reach every key (scrambled
   // Zipf can collide), so bound the rejection loop and fill any
@@ -300,24 +310,16 @@ void TaskGenerator::append_requests(TaskBlock& block, const KeyDistribution& key
       if (try_insert(key)) push_read(key);
     }
   }
-  while (chosen.size() < fanout && attempts++ < max_attempts) {
+  while (chosen() < fanout && attempts++ < max_attempts) {
     const store::KeyId key = keys.sample(rng_);
-    if (try_insert(key)) {
-      if (is_write) {
-        push_write(key);
-      } else {
-        push_read(key);
-      }
-    }
+    if (try_insert(key)) push(key);
   }
-  for (store::KeyId key = 0; chosen.size() < fanout && key < keys.num_keys(); ++key) {
-    if (try_insert(key)) {
-      if (is_write) {
-        push_write(key);
-      } else {
-        push_read(key);
-      }
-    }
+  for (store::KeyId key = 0; chosen() < fanout && key < keys.num_keys(); ++key) {
+    if (try_insert(key)) push(key);
+  }
+  // Whole words: every bit set in them belongs to this task's keys.
+  for (std::size_t i = first; i < pool.size(); ++i) {
+    key_seen_[static_cast<std::size_t>(pool[i].key >> 6)] = 0;
   }
 }
 

@@ -149,12 +149,11 @@ class TaskGenerator {
   std::vector<double> tenant_cdf_;
   std::vector<std::uint32_t> tenant_client_begin_;  // size tenants+1
   std::vector<std::uint32_t> tenant_next_client_;
-  /// Distinct-key dedup scratch reused across tasks (cleared, never
-  /// reallocated — the per-task set was a measurable allocation cost).
-  /// Sorted vector, not a hash set: fanouts are small (tens), binary
-  /// search beats hashing at this size, and the artifact path stays
-  /// free of unordered containers (brblint BRB-D01).
-  std::vector<store::KeyId> chosen_scratch_;
+  /// Distinct-key dedup: one bit per key of the dataset, all clear
+  /// between tasks. Membership stays O(1) at the paper's 512-key
+  /// fan-out tail, and the artifact path stays free of unordered
+  /// containers (brblint BRB-D01).
+  std::vector<std::uint64_t> key_seen_;
   /// Pre-drawn key batch for the distinct-keys fast path (reused).
   std::vector<store::KeyId> key_batch_;
   /// One-task block backing next(); keeps next() and fill_block on a

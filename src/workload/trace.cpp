@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -35,6 +36,7 @@ std::vector<TaskSpec> TraceReader::read(std::istream& is) {
     throw std::runtime_error("TraceReader: missing trace header");
   }
   std::vector<TaskSpec> tasks;
+  std::set<store::TaskId> ids;
   std::size_t line_no = 1;
   while (std::getline(is, line)) {
     ++line_no;
@@ -45,6 +47,9 @@ std::vector<TaskSpec> TraceReader::read(std::istream& is) {
     try {
       if (!std::getline(ss, field, ',')) throw std::runtime_error("missing task id");
       task.id = std::stoull(field);
+      if (!ids.insert(task.id).second) {
+        throw std::runtime_error("duplicate task id " + std::to_string(task.id));
+      }
       if (!std::getline(ss, field, ',')) throw std::runtime_error("missing client");
       task.client = static_cast<store::ClientId>(std::stoul(field));
       if (!std::getline(ss, field, ',')) throw std::runtime_error("missing arrival");

@@ -23,7 +23,8 @@ class TraceWriter {
 
 class TraceReader {
  public:
-  /// Parses a trace; throws std::runtime_error on malformed input.
+  /// Parses a trace; throws std::runtime_error on malformed input or a
+  /// repeated task id (responses find their task by id).
   static std::vector<TaskSpec> read(std::istream& is);
   static std::vector<TaskSpec> read_file(const std::string& path);
 };

@@ -2,6 +2,8 @@
 // dispatch gates, in-flight tracking, completion semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -302,6 +304,145 @@ TEST(AppClient, PerRequestSelectionMode) {
   std::set<store::ServerId> servers;
   for (const auto& out : sent) servers.insert(out.server);
   EXPECT_GT(servers.size(), 1u);
+}
+
+TEST(AppClient, LiveDuplicateTaskIdRejected) {
+  // Responses find their task by id: a second live task under one id
+  // could never complete. Once the first completes, the id is free.
+  ClientFixture f("equalmax");
+  f.simulator.schedule_at(Time::zero(), [&] { f.client->submit(f.task(5, {0, 1})); });
+  f.simulator.run();
+  EXPECT_THROW(f.client->submit(f.task(5, {2})), std::invalid_argument);
+  EXPECT_EQ(f.client->stats().tasks_submitted, 1u);
+  EXPECT_EQ(f.sent.size(), 2u);
+  for (const auto& out : f.sent) f.client->on_response(f.response_for(out));
+  ASSERT_EQ(f.completed_tasks.size(), 1u);
+  EXPECT_NO_THROW(f.client->submit(f.task(5, {2})));
+}
+
+// ---------------------------------------------------------------------------
+// Task planning: sub-task split, per-group plan() calls, priorities
+
+/// Records every plan() call and answers with the first replica.
+class RecordingDispatch final : public ctrl::DispatchPolicy {
+ public:
+  struct Call {
+    std::vector<store::ServerId> replicas;
+    std::int64_t cost_ns;
+  };
+  explicit RecordingDispatch(std::vector<Call>* calls) : calls_(calls) {}
+  ctrl::DispatchPlan plan(const ctrl::SignalTable&, const std::vector<store::ServerId>& replicas,
+                          Duration expected_cost) override {
+    calls_->push_back({replicas, expected_cost.count_nanos()});
+    return ctrl::DispatchPlan::single(replicas.front());
+  }
+  std::string name() const override { return "recording"; }
+
+ private:
+  std::vector<Call>* calls_;
+};
+
+struct PlannerRun {
+  std::vector<RecordingDispatch::Call> calls;
+  std::vector<OutboundRequest> sent;
+};
+
+/// One task through a client on a 9-server ring (replication 3),
+/// 1us/byte forecasts, recording dispatch and a direct gate.
+PlannerRun run_planner(const workload::TaskSpec& task, const std::string& priority,
+                       bool select_per_subtask) {
+  PlannerRun run;
+  sim::Simulator simulator;
+  store::RingPartitioner partitioner(9, 3);
+  server::SizeLinearServiceModel cost_model(Duration::zero(), 1000.0);
+  const auto policy = policy::make_priority_policy(priority);
+  AppClient::Config config;
+  config.select_per_subtask = select_per_subtask;
+  AppClient client(simulator, config, partitioner, cost_model,
+                   std::make_unique<ctrl::DispatchEndpoint>(
+                       ctrl::SignalTableConfig{}, std::make_unique<RecordingDispatch>(&run.calls),
+                       util::Rng(99), store::TenantId{0}),
+                   *policy, std::make_unique<DirectGate>(), util::Rng(1));
+  client.set_network_send([&run](const OutboundRequest& out) { run.sent.push_back(out); });
+  simulator.schedule_at(Time::zero(), [&] { client.submit(task); });
+  simulator.run();
+  return run;
+}
+
+TEST(TaskPlanner, HeavyTaskPlansOncePerGroupAndMatchesReferencePriorities) {
+  // 512 distinct keys with uneven sizes: every group of the ring, each
+  // holding many requests in interleaved order.
+  const store::RingPartitioner partitioner(9, 3);
+  workload::TaskSpec task;
+  task.id = 1;
+  for (store::KeyId key = 0; key < 512; ++key) {
+    task.requests.push_back({key * 7919, 1 + static_cast<std::uint32_t>((key * 37) % 500)});
+  }
+  // Reference: the ordered-map aggregation the planner replaced.
+  std::map<store::GroupId, std::int64_t> group_cost;
+  for (const auto& request : task.requests) {
+    group_cost[partitioner.group_of(request.key)] += std::int64_t{request.size_hint} * 1000;
+  }
+  ASSERT_EQ(group_cost.size(), partitioner.num_groups());
+  std::int64_t bottleneck = 0;
+  for (const auto& [group, cost] : group_cost) bottleneck = std::max(bottleneck, cost);
+
+  const PlannerRun equalmax = run_planner(task, "equalmax", true);
+  ASSERT_EQ(equalmax.calls.size(), group_cost.size());
+  std::size_t call = 0;
+  for (const auto& [group, cost] : group_cost) {
+    EXPECT_EQ(equalmax.calls[call].replicas, partitioner.replicas_of(group));
+    EXPECT_EQ(equalmax.calls[call].cost_ns, cost);
+    ++call;
+  }
+  ASSERT_EQ(equalmax.sent.size(), task.requests.size());
+  for (std::size_t i = 0; i < task.requests.size(); ++i) {
+    const OutboundRequest& out = equalmax.sent[i];
+    EXPECT_EQ(out.request.key, task.requests[i].key);
+    EXPECT_EQ(out.server, partitioner.replicas_of(out.group).front());
+    EXPECT_DOUBLE_EQ(out.request.priority, static_cast<double>(bottleneck));
+  }
+
+  const PlannerRun unifincr = run_planner(task, "unifincr", true);
+  for (std::size_t i = 0; i < task.requests.size(); ++i) {
+    const std::int64_t slack = bottleneck - std::int64_t{task.requests[i].size_hint} * 1000;
+    EXPECT_DOUBLE_EQ(unifincr.sent[i].request.priority,
+                     static_cast<double>(std::max<std::int64_t>(0, slack)));
+  }
+
+  // CumSlack: running sums per group in request order.
+  const PlannerRun cumslack = run_planner(task, "cumslack", true);
+  std::map<store::GroupId, std::int64_t> running;
+  for (std::size_t i = 0; i < task.requests.size(); ++i) {
+    std::int64_t& cumulative = running[partitioner.group_of(task.requests[i].key)];
+    cumulative += std::int64_t{task.requests[i].size_hint} * 1000;
+    EXPECT_DOUBLE_EQ(cumslack.sent[i].request.priority,
+                     static_cast<double>(std::max<std::int64_t>(0, bottleneck - cumulative)));
+  }
+}
+
+TEST(TaskPlanner, PerRequestModePlansEachRequestButKeepsTheGroupBottleneck) {
+  const store::RingPartitioner partitioner(9, 3);
+  workload::TaskSpec task;
+  task.id = 1;
+  for (store::KeyId key = 0; key < 64; ++key) {
+    task.requests.push_back({key * 31, 1 + static_cast<std::uint32_t>((key * 13) % 90)});
+  }
+  std::map<store::GroupId, std::int64_t> group_cost;
+  for (const auto& request : task.requests) {
+    group_cost[partitioner.group_of(request.key)] += std::int64_t{request.size_hint} * 1000;
+  }
+  std::int64_t bottleneck = 0;
+  for (const auto& [group, cost] : group_cost) bottleneck = std::max(bottleneck, cost);
+
+  const PlannerRun run = run_planner(task, "equalmax", false);
+  ASSERT_EQ(run.calls.size(), task.requests.size());
+  for (std::size_t i = 0; i < task.requests.size(); ++i) {
+    EXPECT_EQ(run.calls[i].cost_ns, std::int64_t{task.requests[i].size_hint} * 1000);
+    EXPECT_EQ(run.calls[i].replicas,
+              partitioner.replicas_of(partitioner.group_of(task.requests[i].key)));
+    EXPECT_DOUBLE_EQ(run.sent[i].request.priority, static_cast<double>(bottleneck));
+  }
 }
 
 // ---------------------------------------------------------------------------

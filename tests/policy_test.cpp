@@ -399,6 +399,26 @@ TEST(ComputeBottleneck, SingleRequest) {
   EXPECT_EQ(plan.bottleneck_cost.count_nanos(), 500);
 }
 
+TEST(ComputeBottleneck, SubtasksAscendAndIndexTheirRequests) {
+  const TaskPlan plan = make_plan({{7, 100}, {2, 300}, {7, 50}, {40, 10}, {2, 1}});
+  ASSERT_EQ(plan.subtasks.size(), 3u);
+  EXPECT_EQ(plan.subtasks[0].group, 2u);
+  EXPECT_EQ(plan.subtasks[0].cost.count_nanos(), 301);
+  EXPECT_EQ(plan.subtasks[1].group, 7u);
+  EXPECT_EQ(plan.subtasks[1].cost.count_nanos(), 150);
+  EXPECT_EQ(plan.subtasks[2].group, 40u);
+  EXPECT_EQ(plan.subtasks[2].cost.count_nanos(), 10);
+  for (const PlannedRequest& request : plan.requests) {
+    EXPECT_EQ(plan.subtasks[request.subtask].group, request.group);
+  }
+  EXPECT_EQ(plan.bottleneck_cost.count_nanos(), 301);
+  // The shared group table is clean for the next task.
+  const TaskPlan next = make_plan({{40, 5}, {7, 6}});
+  ASSERT_EQ(next.subtasks.size(), 2u);
+  EXPECT_EQ(next.subtasks[0].cost.count_nanos(), 6);
+  EXPECT_EQ(next.subtasks[1].cost.count_nanos(), 5);
+}
+
 TEST(FifoPolicy, PriorityIsArrivalTime) {
   TaskPlan plan = make_plan({{0, 1000}, {1, 2000}});
   FifoPolicy policy;

@@ -7,7 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "cli/scenario_registry.hpp"
 #include "core/scenario.hpp"
+#include "util/flags.hpp"
 #include "workload/task_gen.hpp"
 #include "workload/trace.hpp"
 
@@ -214,6 +216,53 @@ TEST(ScenarioTrace, EmptyTraceRejected) {
   ScenarioConfig config;
   config.tasks_override = &empty;
   EXPECT_THROW(run_scenario(config), std::invalid_argument);
+}
+
+TEST(ScenarioTrace, DuplicateOverrideIdRejected) {
+  // Ids repeating in pairs on one client: the second of each pair
+  // could never complete, so the run refuses it up front.
+  auto tasks = tiny_trace();
+  for (auto& task : tasks) {
+    task.id /= 2;
+    task.client = 0;
+  }
+  ScenarioConfig config;
+  config.system = SystemKind::kEqualMaxCredits;
+  config.tasks_override = &tasks;
+  try {
+    run_scenario(config);
+    ADD_FAILURE() << "accepted repeated task ids";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "run_scenario: duplicate task id 0 in tasks_override");
+  }
+}
+
+TEST(ScenarioTrace, DuplicateTraceFileIdRejected) {
+  auto tasks = tiny_trace();
+  tasks[9].id = tasks[4].id;
+  const std::string path = "/tmp/brb_scenario_duplicate_trace_test.csv";
+  workload::TraceWriter::write_file(path, tasks);
+  ScenarioConfig config;
+  config.trace_path = path;
+  EXPECT_THROW(run_scenario(config), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(ScenarioTrace, ReplayCasesCarryTheTraceTaskCount) {
+  // Artifacts describe each case by its config: a replay runs the
+  // trace's tasks, not the --tasks default.
+  const auto tasks = tiny_trace();
+  const std::string path = "/tmp/brb_scenario_replay_count_test.csv";
+  workload::TraceWriter::write_file(path, tasks);
+  const cli::ScenarioSpec* spec = cli::find_scenario("trace-replay");
+  ASSERT_NE(spec, nullptr);
+  ScenarioConfig base;
+  base.num_tasks = 60'000;
+  base.trace_path = path;
+  const std::vector<cli::ExperimentCase> cases = spec->expand(base, util::Flags{});
+  std::remove(path.c_str());
+  ASSERT_FALSE(cases.empty());
+  for (const cli::ExperimentCase& c : cases) EXPECT_EQ(c.config.num_tasks, tasks.size()) << c.label;
 }
 
 TEST(ScenarioTrace, MissingTraceFileRejected) {

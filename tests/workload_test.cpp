@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "stats/summary.hpp"
+#include "store/partitioner.hpp"
 #include "util/rng.hpp"
 #include "workload/arrival.hpp"
 #include "workload/capacity.hpp"
@@ -490,9 +491,9 @@ TEST(TaskGenerator, DistinctKeysWithinTask) {
 }
 
 TEST(TaskGenerator, DistinctKeyStreamIsPinned) {
-  // Regression pin for the distinct-key sampling path: the sorted-vector
-  // dedup scratch must consume the RNG stream and emit keys exactly as
-  // the original unordered_set-based membership check did. Any change to
+  // Regression pin for the distinct-key sampling path: the keyspace
+  // bitset must consume the RNG stream and emit keys exactly as the
+  // original unordered_set-based membership check did. Any change to
   // the sampling order shifts every downstream artifact, so the full
   // (client, key, size_hint) stream is pinned by hash for a fixed seed.
   GeneralizedParetoSizeDist sizes;
@@ -516,6 +517,60 @@ TEST(TaskGenerator, DistinctKeyStreamIsPinned) {
     }
   }
   EXPECT_EQ(hash, 0xf964fe5a03ddc8b0ull);
+}
+
+/// The hash DistinctKeyStreamIsPinned computes (FNV-1a 64 over the
+/// (client, key, size_hint) stream), over the next `count` tasks;
+/// `max_fanout` (optional) receives the largest task.
+std::uint64_t stream_hash(TaskGenerator& generator, int count,
+                          std::size_t* max_fanout = nullptr) {
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (int i = 0; i < count; ++i) {
+    const TaskSpec task = generator.next();
+    if (max_fanout != nullptr) *max_fanout = std::max(*max_fanout, task.requests.size());
+    mix(task.client);
+    for (const auto& request : task.requests) {
+      mix(request.key);
+      mix(request.size_hint);
+    }
+  }
+  return hash;
+}
+
+TEST(TaskGenerator, DistinctKeyStreamIsPinnedAtHeavyFanout) {
+  // The paper's heavy-tailed fan-out over a keyspace small enough that
+  // the largest tasks ask for more keys than the scrambled Zipf can
+  // reach: the rejection cap fires and the deterministic scan fills the
+  // rest. Hashes were recorded before the dedup became a bitset.
+  GeneralizedParetoSizeDist sizes;
+  Dataset dataset(5000, sizes, util::Rng(91));
+  ZipfKeys keys(600, 0.9);
+  const auto fanout = LogNormalFanout::for_mean(8.6, 2.0, 512);
+  std::set<store::KeyId> reachable;
+  for (store::KeyId rank = 0; rank < 600; ++rank) reachable.insert(store::hash_key(rank) % 600);
+
+  auto generator = make_generator(dataset, keys, fanout, 92);
+  std::size_t max_fanout = 0;
+  EXPECT_EQ(stream_hash(generator, 3000, &max_fanout), 0x158d459a3cd749c4ull);
+  EXPECT_GT(max_fanout, reachable.size());  // the scan fill ran
+
+  // Tenants bring keyspaces smaller and larger than the base one (and
+  // write tasks, whose size draws interleave with the key draws).
+  TaskGenerator::Config config;
+  config.num_clients = 6;
+  TaskGenerator tenants(config, dataset, keys, fanout, std::make_unique<PoissonArrivals>(1000.0),
+                        util::Rng(93));
+  tenants.set_write_traffic(0.0, &sizes);
+  tenants.set_tenants(parse_tenant_mixes(
+      "small,keys=zipf:200:0.9,fanout=lognormal:8.6:2.0:512;"
+      "big,share=2,keys=zipf:5000:0.99,write=0.25;base"));
+  EXPECT_EQ(stream_hash(tenants, 3000), 0xd588e30b504a8e04ull);
 }
 
 TEST(TaskGenerator, FanoutClampedToKeyspace) {
@@ -713,6 +768,17 @@ TEST(Trace, RejectsMalformedLine) {
 TEST(Trace, RejectsTaskWithoutRequests) {
   std::stringstream buffer("#brb-trace-v1\n1,0,100,\n");
   EXPECT_THROW(TraceReader::read(buffer), std::runtime_error);
+}
+
+TEST(Trace, RejectsDuplicateTaskIdNamingItsLine) {
+  // Comment and blank lines count toward the reported line number.
+  std::stringstream buffer("#brb-trace-v1\n7,0,100,5:10\n# c\n8,0,200,6:10\n7,1,300,7:10\n");
+  try {
+    TraceReader::read(buffer);
+    ADD_FAILURE() << "accepted a repeated task id";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "TraceReader: line 5: duplicate task id 7");
+  }
 }
 
 TEST(Trace, SkipsCommentsAndBlankLines) {
