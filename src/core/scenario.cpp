@@ -72,9 +72,9 @@ RunResult run_scenario(const ScenarioConfig& config) {
 
   // --- signal-store resolution ---
   // "auto" flips to the sparse windowed store once the clients x
-  // servers cross-product would make dense per-pair columns a memory
+  // servers cross-product would make dense per-pair rows a memory
   // problem. The threshold (2^24 pairs = a few hundred MB of dense
-  // columns fleet-wide) keeps every nightly scenario short of
+  // rows fleet-wide) keeps every nightly scenario short of
   // mega-fleet on the dense path, where artifacts are byte-frozen.
   bool sparse_store = false;
   bool sparse_credits_mode = false;
@@ -89,7 +89,7 @@ RunResult run_scenario(const ScenarioConfig& config) {
       sparse_store = false;
     } else if (spec == "sparse" || spec.rfind("sparse:", 0) == 0) {
       sparse_store = true;
-      if (spec.size() > 7) {
+      if (spec != "sparse") {
         const std::string_view digits = std::string_view(spec).substr(7);
         const char* const end = digits.data() + digits.size();
         std::uint32_t cap = 0;

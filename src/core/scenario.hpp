@@ -116,7 +116,7 @@ struct ScenarioConfig {
   std::string admission_override;
   /// Control-plane signal store: "" / "auto" (sparse iff the
   /// clients x servers cross-product exceeds an internal threshold),
-  /// "dense" (force the legacy per-pair columns), or "sparse[:CAP]"
+  /// "dense" (force the legacy per-pair rows), or "sparse[:CAP]"
   /// (windowed per-client store, CAP live servers per client).
   /// Past the auto threshold the sparse store also switches the
   /// credits machinery to sparse demand/grant bookkeeping; below it,

@@ -88,8 +88,8 @@ C3ScorePolicy::C3ScorePolicy(C3ScoreConfig config, std::string registered_name)
 }
 
 double C3ScorePolicy::score(const SignalTable& signals, store::ServerId server) const {
-  // Column reads, not an of() row snapshot: scoring strides the same
-  // few columns across every replica, so this keeps the scan cache-hot.
+  // Field reads, not an of() row snapshot: scoring reads five of the
+  // row's fields, so this skips copying the whole row per replica.
   const bool seen = signals.seen(server);
   const double ewma_service_ns = signals.ewma_service_time_ns(server);
   const double prior_ns = static_cast<double>(config_.prior_service_time.count_nanos());

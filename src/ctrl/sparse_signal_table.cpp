@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/ewma.hpp"
-
 namespace brb::ctrl {
 
 namespace {
@@ -81,8 +79,8 @@ void SparseSignalTable::evict_one() {
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const Entry& e = slots_[i];
     if (!e.occupied) continue;
-    if (e.outstanding > 0 || e.pending_cost_ns > 0 || e.credit_balance != 0.0 ||
-        e.rate_cap != 0.0) {
+    if (e.row.outstanding > 0 || e.row.pending_cost_ns > 0 || e.row.credit_balance != 0.0 ||
+        e.row.rate_cap != 0.0) {
       continue;
     }
     if (victim == slots_.size() || e.lru_tick < slots_[victim].lru_tick) victim = i;
@@ -90,7 +88,7 @@ void SparseSignalTable::evict_one() {
   if (victim == slots_.size()) return;  // everything pinned: soft cap grows
 
   const Entry& e = slots_[victim];
-  if (e.seen != 0) {
+  if (e.row.seen) {
     // Fold the response-path EWMAs into the group's running means; the
     // group becomes the fallback answer for this (and any untracked)
     // server in it.
@@ -99,9 +97,9 @@ void SparseSignalTable::evict_one() {
     GroupAggregate& agg = groups_[group];
     ++agg.folds;
     const double n = static_cast<double>(agg.folds);
-    agg.mean_response_ns += (e.ewma_response_ns - agg.mean_response_ns) / n;
-    agg.mean_queue += (e.ewma_queue - agg.mean_queue) / n;
-    agg.mean_service_ns += (e.ewma_service_ns - agg.mean_service_ns) / n;
+    agg.mean_response_ns += (e.row.ewma_response_ns - agg.mean_response_ns) / n;
+    agg.mean_queue += (e.row.ewma_queue - agg.mean_queue) / n;
+    agg.mean_service_ns += (e.row.ewma_service_time_ns - agg.mean_service_ns) / n;
   }
   ++evictions_;
   remove_slot(victim);
@@ -134,83 +132,39 @@ SparseSignalTable::Entry& SparseSignalTable::touch(store::ServerId server) {
     // Seed from the group prior: an evicted-then-recontacted server
     // resumes from its group's collective memory, and the first real
     // response blends into (rather than replaces) it.
-    e.seen = 1;
-    e.ewma_response_ns = agg->mean_response_ns;
-    e.ewma_queue = agg->mean_queue;
-    e.ewma_service_ns = agg->mean_service_ns;
+    e.row.seen = true;
+    e.row.ewma_response_ns = agg->mean_response_ns;
+    e.row.ewma_queue = agg->mean_queue;
+    e.row.ewma_service_time_ns = agg->mean_service_ns;
   }
   ++live_;
   return e;
 }
 
 void SparseSignalTable::on_send(store::ServerId server, sim::Duration expected_cost) {
-  Entry& e = touch(server);
-  ++e.outstanding;
-  e.pending_cost_ns += expected_cost.count_nanos();
+  SignalTable::fold_send(touch(server).row, expected_cost);
 }
 
 void SparseSignalTable::on_response(store::ServerId server, const store::ServerFeedback& feedback,
                                     sim::Duration rtt, sim::Duration expected_cost, sim::Time at) {
-  Entry& e = touch(server);
-  // Release + raw-feedback + EWMA fold, immediately. Per-server sample
-  // order equals arrival order, and the arithmetic below is the exact
-  // dense flush arithmetic, so the values are bit-identical to the
-  // dense store's column-wise batch application.
-  if (e.outstanding > 0) --e.outstanding;
-  e.pending_cost_ns -= expected_cost.count_nanos();
-  if (e.pending_cost_ns < 0) e.pending_cost_ns = 0;
-  e.last_queue_length = feedback.queue_length;
-  e.last_service_rate = feedback.service_rate;
-  e.last_feedback_ns = at.count_nanos();
-
-  const double rtt_ns = static_cast<double>(rtt.count_nanos());
-  const double queue = static_cast<double>(feedback.queue_length);
-  const double service_ns = feedback.service_rate > 0
-                                ? 1e9 / feedback.service_rate
-                                : static_cast<double>(feedback.service_time.count_nanos());
-  if (e.seen == 0) {
-    e.seen = 1;
-    e.ewma_response_ns = rtt_ns;
-    e.ewma_queue = queue;
-    e.ewma_service_ns = service_ns;
-  } else {
-    e.ewma_response_ns = util::ewma_update(e.ewma_response_ns, ewma_alpha_, rtt_ns);
-    e.ewma_queue = util::ewma_update(e.ewma_queue, ewma_alpha_, queue);
-    e.ewma_service_ns = util::ewma_update(e.ewma_service_ns, ewma_alpha_, service_ns);
-  }
+  SignalTable::fold_response(touch(server).row, ewma_alpha_, feedback, rtt, expected_cost, at);
 }
 
 void SparseSignalTable::on_cancel(store::ServerId server, sim::Duration expected_cost) {
-  Entry& e = touch(server);
-  if (e.outstanding > 0) --e.outstanding;
-  e.pending_cost_ns -= expected_cost.count_nanos();
-  if (e.pending_cost_ns < 0) e.pending_cost_ns = 0;
+  SignalTable::fold_cancel(touch(server).row, expected_cost);
 }
 
 void SparseSignalTable::set_credit_balance(store::ServerId server, double balance) {
-  touch(server).credit_balance = balance;
+  touch(server).row.credit_balance = balance;
 }
 
 void SparseSignalTable::set_rate_cap(store::ServerId server, double rate) {
-  touch(server).rate_cap = rate;
+  touch(server).row.rate_cap = rate;
 }
 
 SignalTable::Signals SparseSignalTable::of(store::ServerId server) const {
+  if (const Entry* e = find(server)) return e->row;
   SignalTable::Signals s;
-  if (const Entry* e = find(server)) {
-    s.ewma_response_ns = e->ewma_response_ns;
-    s.ewma_queue = e->ewma_queue;
-    s.ewma_service_time_ns = e->ewma_service_ns;
-    s.seen = e->seen != 0;
-    s.outstanding = e->outstanding;
-    s.pending_cost_ns = e->pending_cost_ns;
-    s.credit_balance = e->credit_balance;
-    s.rate_cap = e->rate_cap;
-    s.last_queue_length = e->last_queue_length;
-    s.last_service_rate = e->last_service_rate;
-    s.last_feedback_ns = e->last_feedback_ns;
-    return s;
-  }
   if (const GroupAggregate* agg = group_of(server)) {
     s.seen = true;
     s.ewma_response_ns = agg->mean_response_ns;
@@ -222,54 +176,54 @@ SignalTable::Signals SparseSignalTable::of(store::ServerId server) const {
 
 std::uint32_t SparseSignalTable::outstanding(store::ServerId server) const {
   const Entry* e = find(server);
-  return e != nullptr ? e->outstanding : 0;
+  return e != nullptr ? e->row.outstanding : 0;
 }
 
 sim::Duration SparseSignalTable::pending_cost(store::ServerId server) const {
   const Entry* e = find(server);
-  return sim::Duration::nanos(e != nullptr ? e->pending_cost_ns : 0);
+  return sim::Duration::nanos(e != nullptr ? e->row.pending_cost_ns : 0);
 }
 
 bool SparseSignalTable::seen(store::ServerId server) const {
   const Entry* e = find(server);
-  if (e != nullptr) return e->seen != 0;
+  if (e != nullptr) return e->row.seen;
   return group_of(server) != nullptr;
 }
 
 double SparseSignalTable::ewma_response_ns(store::ServerId server) const {
   const Entry* e = find(server);
-  if (e != nullptr) return e->ewma_response_ns;
+  if (e != nullptr) return e->row.ewma_response_ns;
   const GroupAggregate* agg = group_of(server);
   return agg != nullptr ? agg->mean_response_ns : 0.0;
 }
 
 double SparseSignalTable::ewma_queue(store::ServerId server) const {
   const Entry* e = find(server);
-  if (e != nullptr) return e->ewma_queue;
+  if (e != nullptr) return e->row.ewma_queue;
   const GroupAggregate* agg = group_of(server);
   return agg != nullptr ? agg->mean_queue : 0.0;
 }
 
 double SparseSignalTable::ewma_service_time_ns(store::ServerId server) const {
   const Entry* e = find(server);
-  if (e != nullptr) return e->ewma_service_ns;
+  if (e != nullptr) return e->row.ewma_service_time_ns;
   const GroupAggregate* agg = group_of(server);
   return agg != nullptr ? agg->mean_service_ns : 0.0;
 }
 
 double SparseSignalTable::credit_balance(store::ServerId server) const {
   const Entry* e = find(server);
-  return e != nullptr ? e->credit_balance : 0.0;
+  return e != nullptr ? e->row.credit_balance : 0.0;
 }
 
 double SparseSignalTable::rate_cap(store::ServerId server) const {
   const Entry* e = find(server);
-  return e != nullptr ? e->rate_cap : 0.0;
+  return e != nullptr ? e->row.rate_cap : 0.0;
 }
 
 std::int64_t SparseSignalTable::last_feedback_ns(store::ServerId server) const {
   const Entry* e = find(server);
-  return e != nullptr ? e->last_feedback_ns : -1;
+  return e != nullptr ? e->row.last_feedback_ns : -1;
 }
 
 }  // namespace brb::ctrl

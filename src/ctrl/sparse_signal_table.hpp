@@ -1,9 +1,9 @@
 // Sparse backing store for the SignalTable — million-client scale.
 //
-// The dense SignalTable allocates every column out to the highest
-// ServerId a client has touched: exact and fast at paper scale, but
+// The dense SignalTable allocates a row for every ServerId up to the
+// highest one a client has touched: exact and fast at paper scale, but
 // O(clients x servers) across a fleet — a 10k-server x 1M-client run
-// would spend ~6.6 TB on columns alone. The sparse store keeps only
+// would spend ~6.6 TB on rows alone. The sparse store keeps only
 // the pairs a client has actually touched, in one open-addressed
 // table keyed by dense ServerId:
 //
@@ -33,12 +33,10 @@
 // EWMA fold is bit-identical to the dense store (the differential
 // test in tests/control_plane_test.cpp pins this).
 //
-// Feedback is applied immediately rather than staged: the dense
-// store's column-wise flush applies per-server samples in arrival
-// order with the same seed-then-blend arithmetic, so immediate
-// application produces bit-identical values — and the sparse store's
-// entries are struct-of-fields anyway, so there is no column sweep to
-// batch for.
+// Feedback folds through SignalTable's shared rules (`fold_send`,
+// `fold_response`, `fold_cancel`) into the entry's `Signals` row, as
+// it arrives: the two stores hold the same row type and apply the same
+// arithmetic.
 #pragma once
 
 #include <cstdint>
@@ -85,18 +83,8 @@ class SparseSignalTable {
   struct Entry {
     store::ServerId server = 0;
     bool occupied = false;
-    std::uint8_t seen = 0;
-    std::uint32_t outstanding = 0;
     std::uint64_t lru_tick = 0;
-    std::int64_t pending_cost_ns = 0;
-    std::int64_t last_feedback_ns = -1;
-    double ewma_response_ns = 0.0;
-    double ewma_queue = 0.0;
-    double ewma_service_ns = 0.0;
-    double credit_balance = 0.0;
-    double rate_cap = 0.0;
-    std::uint32_t last_queue_length = 0;
-    double last_service_rate = 0.0;
+    SignalTable::Signals row;
   };
 
   /// Running means of the response-path EWMAs folded out of evicted

@@ -4,6 +4,7 @@
 // the runtime path reproduces the legacy wiring byte-for-byte.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -102,16 +103,66 @@ TEST(SignalTable, RejectsBadAlpha) {
 // ---------------------------------------------------------------------------
 // SparseSignalTable — the million-client backing store
 
+/// Every per-field reader of `table` agrees with its `of()` row.
+void check_readers_match_row(const ctrl::SignalTable& table, store::ServerId server,
+                              int round) {
+  const ctrl::SignalTable::Signals row = table.of(server);
+  ASSERT_EQ(table.outstanding(server), row.outstanding) << "round " << round;
+  ASSERT_EQ(table.pending_cost(server).count_nanos(), row.pending_cost_ns) << "round " << round;
+  ASSERT_EQ(table.seen(server), row.seen) << "round " << round;
+  ASSERT_EQ(table.ewma_response_ns(server), row.ewma_response_ns) << "round " << round;
+  ASSERT_EQ(table.ewma_queue(server), row.ewma_queue) << "round " << round;
+  ASSERT_EQ(table.ewma_service_time_ns(server), row.ewma_service_time_ns) << "round " << round;
+  ASSERT_EQ(table.last_feedback_ns(server), row.last_feedback_ns) << "round " << round;
+  ASSERT_EQ(table.credit_balance(server), row.credit_balance) << "round " << round;
+  ASSERT_EQ(table.rate_cap(server), row.rate_cap) << "round " << round;
+}
+
+/// FNV-1a 64 over the bit patterns of every field of servers
+/// [0, fleet)'s rows.
+std::uint64_t rows_hash(const ctrl::SignalTable& table, std::uint32_t fleet) {
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (v >> (8 * b)) & 0xff;
+      hash *= 1099511628211ull;
+    }
+  };
+  const auto mix_double = [&mix](double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(bits);
+  };
+  for (store::ServerId server = 0; server < fleet; ++server) {
+    const ctrl::SignalTable::Signals row = table.of(server);
+    mix_double(row.ewma_response_ns);
+    mix_double(row.ewma_queue);
+    mix_double(row.ewma_service_time_ns);
+    mix(row.seen ? 1 : 0);
+    mix(row.outstanding);
+    mix(static_cast<std::uint64_t>(row.pending_cost_ns));
+    mix_double(row.credit_balance);
+    mix_double(row.rate_cap);
+    mix(row.last_queue_length);
+    mix_double(row.last_service_rate);
+    mix(static_cast<std::uint64_t>(row.last_feedback_ns));
+  }
+  return hash;
+}
+
 TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
   // The differential the sparse design promises (see
   // ctrl/sparse_signal_table.hpp): with a cap above the fleet size
   // nothing ever evicts, and every observable must match the dense
-  // columns bit for bit under an arbitrary interleaved op history.
+  // store bit for bit under an arbitrary interleaved op history. Both
+  // stores share one set of fold rules, so the differential alone
+  // cannot catch a change to that arithmetic: the final rows are also
+  // pinned by hash, and each store's per-field readers (separate code
+  // paths) are checked against its own rows.
   ctrl::SignalTable dense;
   ctrl::SignalTableConfig sparse_config;
   sparse_config.sparse = true;
   sparse_config.sparse_cap = 64;  // fleet is 16 servers
-  sparse_config.sparse_group_size = 4;
   ctrl::SignalTable sparse(sparse_config);
 
   util::Rng history(41);
@@ -160,9 +211,13 @@ TEST(SparseSignalTable, BitIdenticalToDenseWhenCapCoversFleet) {
     ASSERT_EQ(d.last_queue_length, s.last_queue_length) << "round " << round;
     ASSERT_EQ(d.last_service_rate, s.last_service_rate) << "round " << round;
     ASSERT_EQ(d.last_feedback_ns, s.last_feedback_ns) << "round " << round;
+    ASSERT_NO_FATAL_FAILURE(check_readers_match_row(dense, probe, round));
+    ASSERT_NO_FATAL_FAILURE(check_readers_match_row(sparse, probe, round));
   }
   ASSERT_NE(sparse.sparse_store(), nullptr);
   EXPECT_EQ(sparse.sparse_store()->evictions(), 0u);
+  EXPECT_EQ(rows_hash(dense, fleet), 0xde5987548a87329aull);
+  EXPECT_EQ(rows_hash(sparse, fleet), 0xde5987548a87329aull);
 }
 
 TEST(SparseSignalTable, EvictsLruIntoGroupAggregate) {

@@ -230,9 +230,8 @@ TEST(ThreadDeterminism, ReportJsonByteIdenticalAcrossWorkerCounts) {
 TEST(ThreadDeterminism, PolicyShootoutSubstrateByteIdenticalAcrossWorkerCounts) {
   // The policy-shootout substrate (FIFO direct dispatch + a scored
   // replica policy) drives the control-plane feedback path hardest:
-  // staged SignalTable batches, column flushes on every selection, and
-  // dense same-timestamp delivery batches through the timing wheel.
-  // Worker count must still not leak into the artifact.
+  // every response folds into the SignalTable and every selection
+  // reads it back. Worker count must still not leak into the artifact.
   core::ScenarioConfig config;
   config.system = core::SystemKind::kFifoDirect;
   config.policy_spec = ctrl::canonical_policy_name("c3-noderate");

@@ -300,6 +300,8 @@ TEST(ScenarioInputs, NonNumericSparseCapRejected) {
   expect_rejected_naming(config, "--signal-store");
   config.signal_store = "sparse:99999999999";
   expect_rejected_naming(config, "--signal-store");
+  config.signal_store = "sparse:";
+  expect_rejected_naming(config, "--signal-store");
 }
 
 TEST(ScenarioInputs, NanTenantShareRejected) {
